@@ -273,6 +273,22 @@ func TestAODServerDrainE2E(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// The server handles the signal asynchronously: wait until /healthz
+	// reports the drain before probing admission.
+	drainDeadline := time.Now().Add(15 * time.Second)
+	for {
+		resp, err := http.Get(base + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusServiceUnavailable {
+				break
+			}
+		}
+		if time.Now().After(drainDeadline) {
+			t.Fatal("/healthz never reported the drain after SIGTERM")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	// New work is refused while the admitted job drains.
 	resp, err = http.Post(base+"/jobs", "application/json", strings.NewReader(body))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"aod/internal/gen"
@@ -32,5 +33,31 @@ func TestDiscoverAllocBudget(t *testing.T) {
 	const budget = 600
 	if got > budget {
 		t.Errorf("Discover allocates %.0f times per run, budget %d", got, budget)
+	}
+}
+
+// TestPoolAllocBudget is TestDiscoverAllocBudget for Pool(2): the same run
+// through the dispatcher's in-process runners, which must not bring back
+// per-node or per-candidate garbage either (per-slice task copies and result
+// slots are the expected extra).
+func TestPoolAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pin is not meaningful with -short")
+	}
+	tbl := gen.Flight(gen.FlightConfig{Rows: 500, Attrs: 6, Seed: 42})
+	cfg := Config{Threshold: 0.10, Validator: ValidatorOptimal}
+	run := func() {
+		if _, err := (Pipeline{Executor: Pool(2)}).Run(context.Background(), tbl, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	got := testing.AllocsPerRun(5, run)
+	t.Logf("Pool(2) allocations per run: %.0f", got)
+	// Measured 834 before Pool ran on the dispatcher; the ~45% slack matches
+	// the serial pin's.
+	const budget = 1200
+	if got > budget {
+		t.Errorf("Pool(2) allocates %.0f times per run, budget %d", got, budget)
 	}
 }

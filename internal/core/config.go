@@ -74,9 +74,6 @@ type Config struct {
 	// TimeLimit aborts discovery after the given wall-clock duration,
 	// returning partial results with Stats.TimedOut set. 0 disables.
 	TimeLimit time.Duration
-	// KeepPartitions disables the default release of stripped partitions
-	// two levels behind the frontier (mainly for debugging/tests).
-	KeepPartitions bool
 	// SampleStride > 1 enables hybrid-sampling pre-filtering of AOC
 	// candidates (the paper's future-work direction after [6]): a candidate
 	// is first estimated on every SampleStride-th tuple of each class and
@@ -99,8 +96,8 @@ type Config struct {
 	// linear scan of the set-based framework [9] (per-attribute global
 	// orders precomputed once, O(|r|) per candidate) instead of the
 	// per-class sort. Only affects ValidatorExact; results are identical.
-	// Ignored by DiscoverParallel (the lazy order cache is not shared
-	// across workers).
+	// Honored by the Serial executor only (the class-id cache is not shared
+	// across runners).
 	UseSortedScan bool
 	// Bidirectional additionally searches mixed-direction order
 	// compatibilities X: A ∼ B↓ (A ascending, B descending), after the

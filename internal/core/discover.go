@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"aod/internal/dataset"
 	"aod/internal/lattice"
@@ -29,43 +28,40 @@ func DiscoverContext(ctx context.Context, tbl *dataset.Table, cfg Config) (*Resu
 	return Pipeline{}.Run(ctx, tbl, cfg)
 }
 
-// engine is the node-processing stage shared by every executor: it examines
+// engine is the node-processing stage shared by every schedule: it examines
 // the candidates hosted at one lattice node, routing them through the
-// configured validator and the axiom-based pruning, and accumulates
-// dependencies and stats into res. Engines are cheap; a pool executor owns
-// one per worker (Validator scratch is not concurrency-safe), all sharing
-// one traversal.
+// configured validator and the axiom-based pruning. Engines are cheap; the
+// pool owns one per runner (Validator scratch is not concurrency-safe), all
+// sharing one traversal.
 type engine struct {
 	t *traversal
 	v *validate.Validator
-	// res is the accumulation target: the traversal's result under the
-	// serial executor, a worker-local fragment (merged in node order by the
-	// pool executor) otherwise.
+	// res is the accumulation target of applyTask (the traversal's result)
+	// and the home of the engine's abort flags.
 	res *Result
 	// scratch is the engine's reusable NodeResult for the apply-immediately
-	// paths (processNode); executors that retain results across a level use
-	// fresh NodeResults instead.
+	// inline path (processNode); dispatched slices retain their results
+	// across a level in per-level slots instead.
 	scratch NodeResult
 }
 
 // aborted reports that the run must stop, recording the cause in the
-// engine's stats fragment (merged upward by pool executors).
+// engine's stats.
 func (e *engine) aborted() bool {
 	return e.t.abortedInto(&e.res.Stats)
 }
 
 // processNode examines all candidates hosted at the node through the
 // location-transparent task path: propagate validity state from the parents
-// into a NodeTask (buildTask), validate its candidates (execTask) with
-// partitions resolved from the lattice, and fold the result back into the
-// node and the engine's accumulation target (applyTask). It returns the
-// number of candidates validated (for the early-stop rule). The sharded
-// executor runs the same three stages with execTask on a remote worker.
-func (e *engine) processNode(node *lattice.Node, parents, grandparents *lattice.Level) int {
+// into a NodeTask (buildTask), validate its candidates (execTask), and fold
+// the result back into the node and the engine's result (applyTask). It
+// returns the number of candidates validated (for the early-stop rule).
+// Dispatched slices run the same three stages with execTask on a runner.
+func (e *engine) processNode(node *lattice.Node, parents *lattice.Level) int {
 	task := buildTask(node, parents, e.t.numAttrs, e.t.cfg.Bidirectional)
 	// The node's result is applied before the next node, so the engine's
 	// scratch NodeResult serves every node without allocating.
-	e.execTask(&task, levelSource{e: e, parents: parents, grandparents: grandparents}, &e.scratch)
+	e.execTask(&task, &e.scratch)
 	e.applyTask(node, &task, &e.scratch)
 	return e.scratch.Candidates
 }
@@ -76,16 +72,6 @@ func (e *engine) columnB(b int, desc bool) *dataset.Column {
 		return e.t.tbl.Column(b).Reversed()
 	}
 	return e.t.tbl.Column(b)
-}
-
-func (e *engine) materialize(node *lattice.Node) *partition.Stripped {
-	if node.HasPartition() {
-		return node.PartitionIn(e.t.arena, e.t.singles)
-	}
-	t0 := time.Now()
-	p := node.PartitionIn(e.t.arena, e.t.singles)
-	e.res.Stats.PartitionTime += time.Since(t0)
-	return p
 }
 
 // sampleMinRows is the smallest non-singleton context coverage for which the
@@ -126,11 +112,11 @@ func (e *engine) validateOFD(ctx *partition.Stripped, col *dataset.Column) valid
 // validateOCVia validates the OC candidate with context set gpSet (whose
 // partition is ctx) over attributes a and b (B descending when desc),
 // routing to the configured validator — including the sorted-scan exact
-// route when enabled (serial executor only; parts resolves the class ids).
-func (e *engine) validateOCVia(parts partSource, gpSet lattice.AttrSet, ctx *partition.Stripped, a, b int, desc bool) validate.Result {
+// route when enabled (Serial only; the memo caches the class ids).
+func (e *engine) validateOCVia(gpSet lattice.AttrSet, ctx *partition.Stripped, a, b int, desc bool) validate.Result {
 	cb := e.columnB(b, desc)
 	if e.t.orders != nil && e.t.cfg.Validator == ValidatorExact {
-		ids := parts.classIDsOf(gpSet)
+		ids := e.t.memo.ClassIDs(gpSet)
 		ok, _ := e.v.ExactOCScan(ids, ctx.NumClasses(), e.t.orders.Order(a),
 			e.t.tbl.Column(a), cb)
 		return validate.Result{Valid: ok, Aborted: !ok}

@@ -6,31 +6,83 @@ import (
 	"sync"
 
 	"aod/internal/dataset"
-	"aod/internal/lattice"
 	"aod/internal/partition"
 	"aod/internal/validate"
 )
 
-// Serial returns the sequential executor: one engine processes every node of
-// each level in order, accumulating directly into the run's result.
-func Serial() Executor { return &serialExecutor{} }
+// Serial returns the sequential executor: the dispatcher with no runners,
+// which processes every node of each level inline, in order, accumulating
+// directly into the run's result. It is the only schedule that enables the
+// sorted-scan exact route (Config.UseSortedScan), whose class-id cache lives
+// in the partition memo and is not shared across goroutines.
+func Serial() Executor { return &dispatcher{workers: 1} }
 
-type serialExecutor struct {
-	eng *engine
+// Pool returns the worker-pool executor: the dispatcher over `workers`
+// in-process runners. Each lattice level is cut into contiguous slices that
+// the runners validate concurrently against the coordinator's partition memo
+// (no codec, no copies of partitions), and the results commit in node
+// order, so the result is identical to the serial executor's. This is the
+// shared-memory analogue of the distributed extension the paper lists as
+// future work (after Saxena, Golab & Ilyas, PVLDB 2019 — reference [8]):
+// nodes of a level are independent given the previous level's state, so
+// they partition cleanly across workers. workers <= 0 selects GOMAXPROCS.
+func Pool(workers int) Executor {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &dispatcher{
+		workers:    workers,
+		quantum:    -1,
+		sharesMemo: true,
+		open: func(t *traversal) (ShardSession, error) {
+			return newLocalSession(t, workers), nil
+		},
+	}
 }
 
-func (s *serialExecutor) prepare(t *traversal) bool {
-	s.eng = &engine{t: t, v: validate.New(), res: t.res}
-	if !t.buildSingles(1) {
-		return false
-	}
-	if t.cfg.UseSortedScan && t.cfg.Validator == ValidatorExact {
-		t.orders = validate.NewTableOrders(t.tbl)
-	}
-	return true
+// localSession is Pool's ShardSession: in-process runners, one engine
+// (validator and scratch) each, executing level slices on the coordinator's
+// traversal. Runners only read the partition memo — the dispatcher fills a
+// level's parent partitions before any of its slices dispatches. A level is
+// cut into slicesPerRunner slices per runner, and a slice takes whichever
+// engine is free, so uneven per-node costs even out across runners.
+type localSession struct {
+	free chan *engine // idle runners' engines; its capacity is the runner count
 }
 
-func (s *serialExecutor) close() {}
+// slicesPerRunner is the local session's slicing granularity. Per-node cost
+// varies widely with pruning, so one slice per runner leaves runners idle:
+// Pool(2) on an 8K×8 ncvoter table took about 1.2× as long with one slice
+// per runner as with four, and eight were no faster than four (2-vCPU VM,
+// medians of 6–8 alternated runs).
+const slicesPerRunner = 4
+
+func newLocalSession(t *traversal, workers int) *localSession {
+	s := &localSession{free: make(chan *engine, workers)}
+	for range workers {
+		// res only absorbs the runner's abort flags; the dispatcher records
+		// the abort itself once the level's slices are in.
+		s.free <- &engine{t: t, v: validate.New(), res: &Result{}}
+	}
+	return s
+}
+
+func (s *localSession) Width() int { return cap(s.free) * slicesPerRunner }
+
+func (s *localSession) RunSlice(_ context.Context, _, _ int, tasks []NodeTask) ([]NodeResult, error) {
+	e := <-s.free
+	defer func() { s.free <- e }()
+	out := make([]NodeResult, len(tasks))
+	for i := range tasks {
+		if e.aborted() {
+			break
+		}
+		e.execTask(&tasks[i], &out[i])
+	}
+	return out, nil
+}
+
+func (s *localSession) Close() error { return nil }
 
 // buildSingles materializes the per-attribute partitions, across `workers`
 // goroutines when workers > 1. Cancellation is polled per column so an abort
@@ -72,151 +124,10 @@ func (t *traversal) buildSingles(workers int) bool {
 	return !t.abortedInto(&t.res.Stats)
 }
 
-func (s *serialExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) int {
-	st := &t.res.Stats
-	candidates := 0
-	for _, node := range cur.Nodes {
-		if s.eng.aborted() {
-			return candidates
-		}
-		st.NodesProcessed++
-		candidates += s.eng.processNode(node, prev, prev2)
-	}
-	// Record a deadline/cancellation that landed after the last node, so the
-	// pipeline stops before generating the next level.
-	s.eng.aborted()
-	return candidates
-}
-
-// Pool returns the worker-pool executor: the nodes of each level fan out
-// across `workers` goroutines (each owning a validator and scratch), and the
-// per-node outputs are merged in node order, so the result is identical to
-// the serial executor's. This is the shared-memory analogue of the
-// distributed extension the paper lists as future work (after Saxena, Golab &
-// Ilyas, PVLDB 2019 — reference [8]): nodes of a level are independent given
-// the previous level's state, so they partition cleanly across workers.
-// workers <= 0 selects GOMAXPROCS.
-func Pool(workers int) Executor {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &poolExecutor{workers: workers}
-}
-
-type poolExecutor struct {
-	workers int
-	engines []*engine // one per worker, reused across levels
-}
-
-// nodeOut is one node's contribution, merged in node order to preserve the
-// sequential deterministic result order.
-type nodeOut struct {
-	ocs        []OC
-	ofds       []OFD
-	candidates int
-	stats      Stats
-}
-
-func (p *poolExecutor) prepare(t *traversal) bool {
-	if !t.buildSingles(p.workers) {
-		return false
-	}
-	p.engines = make([]*engine, p.workers)
-	for i := range p.engines {
-		p.engines[i] = &engine{t: t, v: validate.New()}
-	}
-	return true
-}
-
-func (p *poolExecutor) close() {}
-
-func (p *poolExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) int {
-	st := &t.res.Stats
-	if t.abortedInto(st) {
-		return 0
-	}
-	// Phase 1: materialize this level's parent partitions in parallel — safe
-	// because every node only writes to itself once its parents are
-	// materialized, and parents live on already-complete levels.
-	materializeLevel(t, prev, p.workers)
-
-	// Phase 2: validate candidates of all nodes concurrently. Each worker
-	// owns an engine (validator + scratch); per-node outputs are merged in
-	// node order afterwards to preserve the sequential result order.
-	outs := make([]nodeOut, len(cur.Nodes))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for _, eng := range p.engines {
-		wg.Add(1)
-		go func(eng *engine) {
-			defer wg.Done()
-			for idx := range jobs {
-				eng.res = &Result{}
-				eng.res.Stats.OCsFoundPerLevel = make([]int, t.numAttrs+1)
-				eng.res.Stats.OFDsFoundPerLevel = make([]int, t.numAttrs+1)
-				eng.res.Stats.NodesProcessed = 1
-				c := eng.processNode(cur.Nodes[idx], prev, prev2)
-				outs[idx] = nodeOut{
-					ocs:        eng.res.OCs,
-					ofds:       eng.res.OFDs,
-					candidates: c,
-					stats:      eng.res.Stats,
-				}
-			}
-		}(eng)
-	}
-	for idx := range cur.Nodes {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-
-	candidates := 0
-	for i := range outs {
-		o := &outs[i]
-		t.res.OCs = append(t.res.OCs, o.ocs...)
-		t.res.OFDs = append(t.res.OFDs, o.ofds...)
-		candidates += o.candidates
-		st.merge(&o.stats)
-	}
-	return candidates
-}
-
-// materializeLevel ensures every node of the level has its partition, in
-// parallel across `workers` goroutines (the pool executor's phase 1; the
-// sharded executor reuses it before shipping partition frames). The context
-// is polled per node so a canceled run does not pay for a whole level's
-// partitioning; skipped nodes materialize lazily if ever touched (they won't
-// be — the caller aborts next).
-func materializeLevel(t *traversal, lvl *lattice.Level, workers int) {
-	if lvl == nil {
-		return
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan *lattice.Node)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := range jobs {
-				if t.ctx != nil && t.ctx.Err() != nil {
-					continue // keep draining; the caller aborts the level
-				}
-				n.PartitionIn(t.arena, t.singles)
-			}
-		}()
-	}
-	for _, n := range lvl.Nodes {
-		jobs <- n
-	}
-	close(jobs)
-	wg.Wait()
-}
-
 // DiscoverParallel runs the same discovery as Discover but validates the
 // candidates of each lattice level concurrently across a worker pool (the
 // Pool executor on the shared pipeline). The result is identical to
-// Discover's — the node-order merge re-establishes the sequential
+// Discover's — the node-order commit re-establishes the sequential
 // deterministic order; only wall-clock time differs. workers <= 0 selects
 // GOMAXPROCS.
 func DiscoverParallel(tbl *dataset.Table, cfg Config, workers int) (*Result, error) {

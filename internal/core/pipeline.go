@@ -60,12 +60,14 @@ type Snapshot struct {
 // cost.
 type ProgressSink func(Snapshot)
 
-// Executor is the pluggable validation stage of the Pipeline: it owns how the
-// candidates of one lattice level are processed (serially, across a worker
-// pool, or across slices of the level on remote shards). Implementations
-// share the engine's node-processing code (buildTask/execTask/applyTask);
-// only the schedule differs, so every executor produces identical results and
-// identical (non-timing) stats. Constructors: Serial, Pool, Sharded.
+// Executor is the pluggable validation stage of the Pipeline: it owns where
+// the candidates of one lattice level are processed. There is one
+// implementation, a pipelined dispatcher; the constructors Serial, Pool and
+// Sharded choose its runners (none — inline on the coordinator —, in-process
+// engines, or remote shard workers). Every runner executes the same task
+// code (buildTask/execTask/applyTask) and results commit in node order, so
+// every executor produces identical results and identical (non-timing)
+// stats.
 type Executor interface {
 	// prepare builds the per-attribute partitions and any executor-owned
 	// state before traversal. It returns false when the run was aborted
@@ -73,10 +75,10 @@ type Executor interface {
 	prepare(t *traversal) bool
 	// runLevel validates the candidates of every node in cur, accumulating
 	// dependencies and stats into t.res in deterministic node order, and
-	// returns the number of candidates validated.
-	runLevel(t *traversal, cur, prev, prev2 *lattice.Level) int
-	// close releases executor-owned resources (e.g. a sharded executor's
-	// worker session) when the run ends, normally or aborted.
+	// returns the number of candidates validated. prev is the level below.
+	runLevel(t *traversal, cur, prev *lattice.Level) int
+	// close releases executor-owned resources (the session, in-flight
+	// slices) when the run ends, normally or aborted.
 	close()
 }
 
@@ -84,7 +86,7 @@ type Executor interface {
 // DiscoverParallel are thin wrappers over: a planner (candidate generation,
 // pruning, early termination — the loop in Run), a pluggable Executor, and an
 // optional ProgressSink invoked at every level boundary. The zero value runs
-// the serial executor with no sink.
+// Serial() with no sink.
 type Pipeline struct {
 	// Executor processes each level's candidates (nil = Serial()).
 	Executor Executor
@@ -113,12 +115,13 @@ type traversal struct {
 	eps      float64
 	numAttrs int
 	maxLevel int
-	// arena recycles the CSR buffers of released lattice levels into the
-	// next level's partition products, keeping steady-state traversal
-	// nearly allocation-free. It is concurrency-safe and shared by all
-	// workers of a pool executor.
-	arena    *partition.Arena
-	singles  []*partition.Stripped
+	// arena recycles the CSR buffers of partitions the memo releases into
+	// later products, keeping steady-state traversal nearly
+	// allocation-free. It is concurrency-safe.
+	arena   *partition.Arena
+	singles []*partition.Stripped
+	// memo is the run's only partition source (built after prepare).
+	memo     *lattice.Memo
 	orders   *validate.TableOrders // non-nil only under UseSortedScan (serial)
 	start    time.Time
 	deadline time.Time
@@ -126,7 +129,7 @@ type traversal struct {
 
 	// trace is the job's span trace (nil when the caller's context carries
 	// none — every recording below is then a no-op). levelSpan is the span of
-	// the level currently being validated; sharded executors parent their
+	// the level currently being validated; dispatched slices parent their
 	// per-slice RPC spans under it. lastValid/lastPart remember the
 	// cumulative Stats counters at the previous level boundary so snapshots
 	// report per-level deltas.
@@ -136,7 +139,7 @@ type traversal struct {
 	lastValid time.Duration
 	lastPart  time.Duration
 
-	// prefetchedNext, when set by a pipelining executor (Sharded), is the
+	// prefetchedNext, when set by the dispatcher's prefetch, is the
 	// already-generated next level; Run advances through it instead of
 	// generating a twin, because the executor's pre-built tasks alias its
 	// nodes.
@@ -269,15 +272,18 @@ func (p Pipeline) Run(ctx context.Context, tbl *dataset.Table, cfg Config) (*Res
 		return t.res, nil
 	}
 
-	l0 := lattice.Level0(tbl.NumRows(), numAttrs)
-	prev2, prev := (*lattice.Level)(nil), l0
-	cur := lattice.Level1(l0, tbl, t.singles)
+	t.memo = lattice.NewMemo(t.arena, t.singles)
+	prev, cur := lattice.Level0(numAttrs), lattice.Level1(numAttrs)
 	for {
 		st.LevelsProcessed++
 		lvlStart := time.Now()
 		t.levelSpan = trace.Start(traceParent, "level")
 		t.levelSpan.SetLabel("level %d", cur.Number)
-		candidates := exec.runLevel(t, cur, prev, prev2)
+		// Partitions two levels behind the new frontier can no longer be
+		// read; their buffers recycle into the arena for this level's
+		// products.
+		t.memo.Advance(cur.Number)
+		candidates := exec.runLevel(t, cur, prev)
 		t.levelSpan.Attr("nodes", int64(len(cur.Nodes)))
 		t.levelSpan.Attr("candidates", int64(candidates))
 		t.levelSpan.End()
@@ -298,15 +304,7 @@ func (p Pipeline) Run(ctx context.Context, tbl *dataset.Table, cfg Config) (*Res
 		if next == nil {
 			next = lattice.NextLevel(cur, numAttrs)
 		}
-		if !cfg.KeepPartitions && prev2 != nil {
-			// prev2 is two levels behind the new frontier: its partitions are
-			// no longer reachable as parents or grandparents, so their CSR
-			// buffers recycle into the arena for the next level's products.
-			for _, n := range prev2.Nodes {
-				n.ReleasePartition(t.arena)
-			}
-		}
-		prev2, prev, cur = prev, cur, next
+		prev, cur = cur, next
 	}
 	st.TotalTime = time.Since(t.start)
 	return t.res, nil

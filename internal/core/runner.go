@@ -45,29 +45,26 @@ func (p *PreparedTable) MemBytes() int64 {
 	return b
 }
 
-// TaskRunner executes NodeTasks against a prepared table — the worker-side
-// counterpart of the executors. It owns a validator, an arena, and a
-// two-generation partition cache (tasks only carry attribute sets; context
-// partitions are rebuilt by folding the prepared single-column partitions,
-// memoized so sibling tasks and consecutive levels share the work, mirroring
-// the coordinator's keep-two-levels policy). One runner serves one job's
-// sequence of level slices; it is not safe for concurrent use.
+// TaskRunner executes NodeTasks against a prepared table — the remote
+// shard worker's runner. It owns a validator, an arena, and its own
+// partition memo (lattice.Memo): tasks only carry attribute sets, so context
+// partitions are folded from the prepared single-column partitions, or
+// adopted from coordinator-shipped seeds, and memoized so sibling tasks and
+// consecutive levels share the work. One runner serves one job's sequence of
+// level slices; it is not safe for concurrent use.
 type TaskRunner struct {
 	t   *traversal
 	eng *engine
-	src *foldSource
 	// seeds are coordinator-shipped context partitions waiting to be
-	// installed into the next RunLevel's fresh memo generation (installing
-	// before rotate would let the rotation recycle them mid-level).
+	// installed after the next RunLevel advances the memo.
 	seeds []SeedPartition
 }
 
 // SeedPartition is one coordinator-shipped context partition: the runner
-// installs it into its fold memo so the level's tasks resolve the set by
-// lookup instead of re-folding it from single-attribute partitions. The
-// partition must be in canonical fold order (the product of the two
-// smallest-attribute subsets, recursively) — shipped partitions come from
-// the coordinator's lattice, which builds them exactly that way.
+// installs it into its memo so the level's tasks resolve the set by lookup
+// instead of re-folding it from single-attribute partitions. The partition
+// must be in the memo's fold order — shipped partitions come from the
+// coordinator's memo, which builds them exactly that way.
 type SeedPartition struct {
 	Set  lattice.AttrSet
 	Part *partition.Stripped
@@ -75,7 +72,7 @@ type SeedPartition struct {
 
 // SeedPartitions queues shipped partitions for the next RunLevel call. The
 // runner takes ownership: seeds recycle into its arena like any built
-// partition once their generation dies.
+// partition once the memo releases them.
 func (r *TaskRunner) SeedPartitions(seeds []SeedPartition) {
 	r.seeds = append(r.seeds, seeds...)
 }
@@ -84,7 +81,7 @@ func (r *TaskRunner) SeedPartitions(seeds []SeedPartition) {
 // runner for one job. Coordinator-owned policies are stripped: a worker never
 // honors TimeLimit (the coordinator owns abort policy, via the RunLevel
 // context) and never uses the sorted-scan route (its per-attribute order
-// cache is coordinator-local, matching the pool executor's behavior).
+// cache is coordinator-local, as under the Pool executor).
 func (p *PreparedTable) NewTaskRunner(cfg Config) (*TaskRunner, error) {
 	if err := cfg.Validate(p.tbl.NumCols()); err != nil {
 		return nil, err
@@ -102,21 +99,24 @@ func (p *PreparedTable) NewTaskRunner(cfg Config) (*TaskRunner, error) {
 		start:    time.Now(),
 		res:      &Result{},
 	}
-	r := &TaskRunner{t: t, eng: &engine{t: t, v: validate.New(), res: t.res}}
-	r.src = &foldSource{r: r, memo: make(map[lattice.AttrSet]*partition.Stripped)}
-	return r, nil
+	t.memo = lattice.NewMemo(t.arena, t.singles)
+	return &TaskRunner{t: t, eng: &engine{t: t, v: validate.New(), res: t.res}}, nil
 }
 
-// PartitionCacheStats returns the runner's partition-cache hit and fresh
-// build counts so far (hits include generation carry-overs).
+// PartitionCacheStats returns the runner's memoized partition lookups and
+// fresh product builds so far.
 func (r *TaskRunner) PartitionCacheStats() (hits, builds uint64) {
-	return r.src.hits, r.src.builds
+	hits, builds, _ = r.t.memo.Counters()
+	return hits, builds
 }
 
 // SeededPartitions returns how many coordinator-shipped partitions were
-// installed into the fold memo (duplicates of already-memoized sets are
+// installed into the memo (duplicates of already-memoized sets are
 // recycled, not counted).
-func (r *TaskRunner) SeededPartitions() uint64 { return r.src.seeded }
+func (r *TaskRunner) SeededPartitions() uint64 {
+	_, _, seeded := r.t.memo.Counters()
+	return seeded
+}
 
 // NumRows returns the prepared table's row count — the bound incoming seed
 // partitions are validated against.
@@ -128,113 +128,22 @@ func (r *TaskRunner) NumRows() int { return r.t.tbl.NumRows() }
 // returned — the coordinator discards them and re-runs the slice elsewhere.
 func (r *TaskRunner) RunLevel(ctx context.Context, tasks []NodeTask) []NodeResult {
 	r.t.ctx = ctx
-	r.src.rotate()
-	if len(r.seeds) > 0 {
-		r.src.install(r.seeds)
-		r.seeds = r.seeds[:0]
+	if len(tasks) > 0 {
+		r.t.memo.Advance(tasks[0].Level)
 	}
+	for _, sd := range r.seeds {
+		if sd.Part != nil {
+			r.t.memo.Install(sd.Set, sd.Part)
+		}
+	}
+	clear(r.seeds)
+	r.seeds = r.seeds[:0]
 	out := make([]NodeResult, len(tasks))
 	for i := range tasks {
 		if ctx != nil && ctx.Err() != nil {
 			break
 		}
-		r.eng.execTask(&tasks[i], r.src, &out[i])
+		r.eng.execTask(&tasks[i], &out[i])
 	}
 	return out
-}
-
-// foldSource resolves context partitions by folding single-attribute
-// partitions, memoized across two level generations: the partitions built
-// for level ℓ's tasks (parents at ℓ−1, and every prefix below) are exactly
-// the grandparents — and the fold bases — of level ℓ+1's tasks. Dead
-// generations recycle into the runner's arena.
-type foldSource struct {
-	r          *TaskRunner
-	memo, prev map[lattice.AttrSet]*partition.Stripped
-	universe   *partition.Stripped
-	// hits counts memoized (or generation-carried) partition lookups; builds
-	// counts fresh arena products; seeded counts coordinator-shipped
-	// partitions adopted into the memo — the worker's partition telemetry.
-	hits, builds, seeded uint64
-}
-
-// install adopts shipped partitions into the live generation. A set the memo
-// (or the carried previous generation) already holds wins — the local copy is
-// arena-recycled memory — and the duplicate seed's buffers recycle instead.
-func (s *foldSource) install(seeds []SeedPartition) {
-	for _, sd := range seeds {
-		if sd.Part == nil {
-			continue
-		}
-		if _, ok := s.memo[sd.Set]; ok {
-			s.r.t.arena.Recycle(sd.Part)
-			continue
-		}
-		if p, ok := s.prev[sd.Set]; ok {
-			s.memo[sd.Set] = p
-			delete(s.prev, sd.Set)
-			s.r.t.arena.Recycle(sd.Part)
-			continue
-		}
-		s.memo[sd.Set] = sd.Part
-		s.seeded++
-	}
-}
-
-// rotate opens a new level generation: the current memo becomes the previous
-// one, and the partitions of the dropped generation (not carried forward by
-// lookups) return their buffers to the arena.
-func (s *foldSource) rotate() {
-	for _, p := range s.prev {
-		s.r.t.arena.Recycle(p)
-	}
-	s.prev = s.memo
-	s.memo = make(map[lattice.AttrSet]*partition.Stripped)
-}
-
-func (s *foldSource) partitionOf(set lattice.AttrSet, st *TaskStats) *partition.Stripped {
-	switch set.Card() {
-	case 0:
-		if s.universe == nil {
-			s.universe = partition.Universe(s.r.t.tbl.NumRows())
-		}
-		return s.universe
-	case 1:
-		return s.r.t.singles[set.Min()]
-	}
-	if p, ok := s.memo[set]; ok {
-		s.hits++
-		return p
-	}
-	if p, ok := s.prev[set]; ok {
-		// Carry the partition into the live generation (and out of the next
-		// rotation's recycle sweep).
-		s.hits++
-		s.memo[set] = p
-		delete(s.prev, set)
-		return p
-	}
-	// Replicate the lattice's product structure exactly — Π_S is the product
-	// of the partitions missing the two smallest attributes, recursively —
-	// so the resulting CSR class order (which validators' removal-set
-	// collection observes) is identical to the coordinator's, not merely the
-	// same set family.
-	c1 := set.Min()
-	c2 := set.Remove(c1).Min()
-	p0 := s.partitionOf(set.Remove(c1), st)
-	p1 := s.partitionOf(set.Remove(c2), st)
-	// Only the fresh product's own cost lands here; the recursive bases
-	// charged themselves already.
-	t0 := time.Now()
-	p := s.r.t.arena.Product(p0, p1)
-	st.PartitionTime += time.Since(t0)
-	s.builds++
-	s.memo[set] = p
-	return p
-}
-
-func (s *foldSource) classIDsOf(set lattice.AttrSet) []int32 {
-	// Only the sorted-scan exact route asks for class ids, and workers never
-	// enable it (NewTaskRunner strips UseSortedScan).
-	panic("core: classIDsOf on a shard worker (sorted-scan is coordinator-only)")
 }

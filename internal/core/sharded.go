@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"aod/internal/dataset"
 	"aod/internal/lattice"
@@ -19,7 +20,7 @@ type ShardPool interface {
 	// Open pins the run's dataset and configuration on every reachable
 	// worker (fingerprint handshake; the dataset payload ships only to
 	// workers that don't already cache it) and returns the session. An error
-	// means no worker is usable — the sharded executor then degrades to
+	// means no worker is usable — the dispatcher then degrades to
 	// local execution rather than failing the run.
 	Open(ctx context.Context, tbl *dataset.Table, cfg Config) (ShardSession, error)
 }
@@ -39,36 +40,27 @@ type ShardSession interface {
 
 // ShardSessionParts is the optional partition-shipping capability of a
 // ShardSession: RunSliceParts is RunSlice plus coordinator-built context
-// partitions for the slice, which the worker installs into its fold memo
-// instead of re-deriving them from single-attribute partitions. The executor
+// partitions for the slice, which the worker installs into its memo instead
+// of re-deriving them from single-attribute partitions. The dispatcher
 // type-asserts for it, so sessions (and test fakes) that only implement
 // ShardSession keep working — their slices simply fold worker-side.
 //
 // The shipped partitions must be immutable for the life of the session
 // (partition.Share): a losing straggler attempt can still be encoding them
-// after the slice committed and later levels released its lattice ancestry.
+// after the slice committed and the coordinator's memo released them.
 type ShardSessionParts interface {
 	RunSliceParts(ctx context.Context, shard, level int, tasks []NodeTask, parts []SeedPartition) ([]NodeResult, error)
 }
 
-// Sharded returns the distributed executor: each lattice level's tasks are
-// sliced contiguously across the pool's shards, executed remotely, and the
-// results merged in node order — so reports and non-timing stats are
-// identical to Serial()'s, only the machines differ. Every failure mode
-// degrades instead of failing the job: an unreachable pool runs the whole
-// job locally, a dead or straggling worker has its slice re-dispatched by
-// the session or, last, executed locally by the coordinator.
-//
-// Dispatch is pipelined across levels: as a contiguous prefix of level N's
-// slices lands and commits, the executor generates level N+1 (its structure
-// depends only on N's node sets), builds tasks whose parents are all
-// committed, and streams ready slices to workers whose slice of N has
-// drained — so stragglers on level N overlap with N+1's validation instead
-// of serializing the whole cluster on a per-level barrier. Results still
-// commit strictly in node order through applyTask, so the pipelined schedule
-// stays byte-identical to Serial ≡ Pool (the executor equivalence matrix is
-// the contract).
-func Sharded(pool ShardPool) Executor { return &shardedExecutor{pool: pool, quantum: -1} }
+// Sharded returns the distributed executor: the dispatcher over the pool's
+// remote shard workers. Each lattice level's tasks are sliced contiguously
+// across the pool's shards, executed remotely, and the results merged in node
+// order — so reports and non-timing stats are identical to Serial()'s, only
+// the machines differ. Every failure mode degrades instead of failing the
+// job: an unreachable pool runs the whole job locally, a dead or straggling
+// worker has its slice re-dispatched by the session or, last, executed
+// locally by the coordinator.
+func Sharded(pool ShardPool) Executor { return ShardedQuantum(pool, -1) }
 
 // DefaultShardWorkQuantum is the estimated work (rows × attrs × levels, see
 // EstimateCost) each engaged shard worker must have under ShardedQuantum's
@@ -90,24 +82,55 @@ func ShardedQuantum(pool ShardPool, quantum int64) Executor {
 	if quantum == 0 {
 		quantum = DefaultShardWorkQuantum
 	}
-	return &shardedExecutor{pool: pool, quantum: quantum}
+	return &dispatcher{
+		workers: runtime.GOMAXPROCS(0),
+		quantum: quantum,
+		open: func(t *traversal) (ShardSession, error) {
+			ctx := t.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			return pool.Open(ctx, t.tbl, t.cfg)
+		},
+	}
 }
 
-type shardedExecutor struct {
-	pool ShardPool
-	sess ShardSession
-	eng  *engine
-	// quantum is the estimated work per engaged worker (negative = no cap);
+// dispatcher is the one Executor; Serial, Pool and Sharded differ only in
+// the session it opens. With no session (Serial, or a shard pool with no
+// reachable worker) every level runs inline on the coordinator. With one,
+// each level is cut into at most Width contiguous slices that run on the
+// session's runners — in-process engines (Pool) or remote shard workers
+// (Sharded) — and commit in node order through applyTask, so every schedule
+// yields the same report and non-timing stats.
+//
+// Dispatch is pipelined across levels: as a contiguous prefix of level N's
+// slices lands and commits, the dispatcher generates level N+1 (its
+// structure depends only on N's node sets), builds tasks whose parents are
+// all committed, and streams ready slices to runners whose slice of N has
+// drained — so stragglers on level N overlap with N+1's validation instead
+// of serializing every runner on a per-level barrier.
+type dispatcher struct {
+	// open starts the run's session; nil (Serial) runs every level inline.
+	open func(t *traversal) (ShardSession, error)
+	// sharesMemo marks runners that read the coordinator's partition memo in
+	// place (Pool): a level's parent partitions are then filled before any
+	// of its slices dispatches, and never written while its runners read.
+	sharesMemo bool
+	// workers is the parallelism of the single-attribute build and of
+	// level fills.
+	workers int
+	sess    ShardSession
+	eng     *engine
+	// quantum is the estimated work per engaged runner (negative = no cap);
 	// widthCap is derived from it against the run's cost during prepare.
 	quantum  int64
 	widthCap int
 	// pending carries the next level's prefetched state (tasks built so far,
 	// pre-dispatched slices in flight) from one runLevel call into the next.
 	pending *levelRun
-	// localMu serializes local (fallback) slice execution and the node-order
-	// commit: the engine and the lattice's lazily materialized partitions are
-	// not concurrency-safe.
-	localMu sync.Mutex
+	// inflight counts dispatched slices whose outcome has not been sent;
+	// close waits for them, so no slice outlives the run.
+	inflight sync.WaitGroup
 }
 
 // sliceSpan is the [lo, hi) task range of one shard's slice of a level.
@@ -137,6 +160,8 @@ type levelRun struct {
 	// i's parents; the node is buildable once the parent commit prefix
 	// passes it. Computed only for prefetched runs.
 	maxParent []int
+	// filled records that the parent level's partitions are in the memo.
+	filled bool
 }
 
 func newLevelRun(level *lattice.Level, width int) *levelRun {
@@ -157,33 +182,36 @@ func newLevelRun(level *lattice.Level, width int) *levelRun {
 	return r
 }
 
-func (x *shardedExecutor) prepare(t *traversal) bool {
-	if !t.buildSingles(runtime.GOMAXPROCS(0)) {
+func (x *dispatcher) prepare(t *traversal) bool {
+	if !t.buildSingles(x.workers) {
 		return false
 	}
 	x.eng = &engine{t: t, v: validate.New(), res: t.res}
-	ctx := t.ctx
-	if ctx == nil {
-		ctx = context.Background()
+	x.sess, x.pending = nil, nil
+	if x.open == nil {
+		if t.cfg.UseSortedScan && t.cfg.Validator == ValidatorExact {
+			t.orders = validate.NewTableOrders(t.tbl)
+		}
+		return true
 	}
-	if sess, err := x.pool.Open(ctx, t.tbl, t.cfg); err == nil {
+	// An open error (no reachable worker) leaves sess nil: the run proceeds
+	// fully locally (degraded, not failed).
+	if sess, err := x.open(t); err == nil {
 		x.sess = sess
 	}
 	x.widthCap = shardWidthCap(EstimateCost(t.tbl.NumRows(), t.numAttrs, t.maxLevel), x.quantum)
-	x.pending = nil
-	// A pool with no reachable worker leaves sess nil: the run proceeds
-	// fully locally (degraded, not failed).
 	return !t.abortedInto(&t.res.Stats)
 }
 
-func (x *shardedExecutor) close() {
+func (x *dispatcher) close() {
 	if x.sess != nil {
 		x.sess.Close()
 		x.sess = nil
 	}
+	x.inflight.Wait()
 }
 
-func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) int {
+func (x *dispatcher) runLevel(t *traversal, cur, prev *lattice.Level) int {
 	st := &t.res.Stats
 	// Adopt the previous level's prefetch for this level, if any. A stale
 	// pending (from an aborted or different run) is simply dropped: its
@@ -198,20 +226,18 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 	}
 	width := 0
 	if x.sess != nil {
-		if width = x.sess.Width(); width > x.widthCap {
-			width = x.widthCap
-		}
+		width = min(x.sess.Width(), x.widthCap)
 	}
 	if run == nil && width <= 0 {
-		// No shard usable at all: run the level exactly like the serial
-		// executor — per-node scratch, no retained task/result slices.
+		// No runner: process the level inline, per-node scratch, no
+		// retained task/result slices.
 		candidates := 0
 		for _, node := range cur.Nodes {
 			if x.eng.aborted() {
 				return candidates
 			}
 			st.NodesProcessed++
-			candidates += x.eng.processNode(node, prev, prev2)
+			candidates += x.eng.processNode(node, prev)
 		}
 		x.eng.aborted()
 		return candidates
@@ -231,13 +257,6 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 	// pre-dispatched slices appear under the level that dispatched them.
 	ctx := t.dispatchContext()
 	ship := x.shouldShipParts(t, run, prev)
-	if ship {
-		// Materialize the parent level once (in parallel) before slicing: each
-		// product reuses the grandparents materialized one level ago, so this
-		// is the pool executor's incremental per-level partition cost, paid
-		// once here instead of once per worker.
-		materializeLevel(t, prev, runtime.GOMAXPROCS(0))
-	}
 	remaining := 0
 	for j, sp := range run.plan {
 		if sp.lo == sp.hi {
@@ -245,12 +264,7 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 			continue
 		}
 		if !run.dispatched[j] {
-			run.dispatched[j] = true
-			var parts []SeedPartition
-			if ship {
-				parts = sliceParts(t, run, j, prev)
-			}
-			x.dispatch(ctx, run, j, parts)
+			x.dispatch(ctx, t, run, j, prev, ship)
 		}
 		remaining++
 	}
@@ -264,14 +278,10 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 		progressed := false
 		for commit < len(run.plan) && run.done[commit] {
 			sp := run.plan[commit]
-			if sp.lo < sp.hi {
-				x.localMu.Lock()
-				for i := sp.lo; i < sp.hi; i++ {
-					st.NodesProcessed++
-					x.eng.applyTask(cur.Nodes[i], &run.tasks[i], &run.results[i])
-					candidates += run.results[i].Candidates
-				}
-				x.localMu.Unlock()
+			for i := sp.lo; i < sp.hi; i++ {
+				st.NodesProcessed++
+				x.eng.applyTask(cur.Nodes[i], &run.tasks[i], &run.results[i])
+				candidates += run.results[i].Candidates
 			}
 			committed = sp.hi
 			commit++
@@ -289,7 +299,7 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 			// pre-dispatched into a dying session): run it here so the job
 			// completes regardless.
 			sp := run.plan[d.j]
-			x.runLocal(t, run.tasks[sp.lo:sp.hi], run.results[sp.lo:sp.hi], prev, prev2)
+			x.runLocal(run.tasks[sp.lo:sp.hi], run.results[sp.lo:sp.hi])
 		}
 		run.done[d.j] = true
 		remaining--
@@ -314,9 +324,9 @@ const shipPartsMinRows = 2048
 // must speak the parts capability, the parent level must hold real products
 // (levels 0/1 are the universe and the singles every worker already has),
 // the table must be past the fold-vs-wire break-even, and at least two
-// slices must be in play (a lone worker's fold memo is already as warm as
-// the coordinator's lattice).
-func (x *shardedExecutor) shouldShipParts(t *traversal, run *levelRun, prev *lattice.Level) bool {
+// slices must be in play (a lone worker's memo is already as warm as the
+// coordinator's).
+func (x *dispatcher) shouldShipParts(t *traversal, run *levelRun, prev *lattice.Level) bool {
 	if x.sess == nil || prev == nil || prev.Number < 2 || t.tbl.NumRows() < shipPartsMinRows {
 		return false
 	}
@@ -334,10 +344,10 @@ func (x *shardedExecutor) shouldShipParts(t *traversal, run *levelRun, prev *lat
 
 // sliceParts collects the distinct parent partitions the slice's tasks
 // reference as fold bases and OFD contexts, in node order. The partitions are
-// marked shared before leaving the lattice: arena recycling refuses them from
+// marked shared before leaving the memo: arena recycling refuses them from
 // then on, so a straggler attempt still encoding after the level retires can
 // never observe a reset (the GC reclaims them when the last reference dies).
-func sliceParts(t *traversal, run *levelRun, j int, prev *lattice.Level) []SeedPartition {
+func sliceParts(t *traversal, run *levelRun, j int) []SeedPartition {
 	sp := run.plan[j]
 	seen := make(map[lattice.AttrSet]struct{}, (sp.hi-sp.lo)+run.level.Number)
 	var parts []SeedPartition
@@ -349,39 +359,53 @@ func sliceParts(t *traversal, run *levelRun, j int, prev *lattice.Level) []SeedP
 				return
 			}
 			seen[pset] = struct{}{}
-			pn := prev.Lookup(pset)
-			if pn == nil {
-				return
-			}
-			p := pn.PartitionIn(t.arena, t.singles).Share()
-			parts = append(parts, SeedPartition{Set: pset, Part: p})
+			parts = append(parts, SeedPartition{Set: pset, Part: t.memo.Partition(pset, nil).Share()})
 		})
 	}
 	return parts
 }
 
-// dispatch sends slice j of the run to the pool in the background, reporting
-// the outcome on run.ch. Successful results are copied into the run's result
-// slots before the outcome is published.
+// dispatch sends slice j of the run to the session in the background,
+// reporting the outcome on run.ch. Successful results are copied into the
+// run's result slots before the outcome is published.
+//
+// Slices that need coordinator partitions — in-process runners read the
+// memo, shipping sends them — first have the whole parent level filled,
+// once per level and before any of its slices runs (parents is the level
+// below run's).
 //
 // The tasks handed to the session are wire copies: a task's pair-set words
 // alias its node's sets, and a straggler re-dispatch attempt can still be
 // encoding them after the slice's first answer wins and the node commits
 // (applyTask mutates the node's sets). The copy makes every remote attempt
 // read-only on stable memory; local fallback keeps using the originals.
-// parts, when non-empty, ride ahead of the slice on the same exchange (the
-// session re-ships them to whichever worker a retry or straggler re-dispatch
-// lands on).
-func (x *shardedExecutor) dispatch(ctx context.Context, run *levelRun, j int, parts []SeedPartition) {
+// Shipped parts ride ahead of the slice on the same exchange (the session
+// re-ships them to whichever worker a retry or straggler re-dispatch lands
+// on).
+func (x *dispatcher) dispatch(ctx context.Context, t *traversal, run *levelRun, j int, parents *lattice.Level, ship bool) {
+	run.dispatched[j] = true
+	if (ship || x.sharesMemo) && !run.filled {
+		run.filled = true
+		t0 := time.Now()
+		t.memo.FillLevel(parents, x.workers)
+		t.res.Stats.PartitionTime += time.Since(t0)
+	}
+	var parts []SeedPartition
+	if ship {
+		parts = sliceParts(t, run, j)
+	}
 	sp := run.plan[j]
 	wire := copyTaskWords(run.tasks[sp.lo:sp.hi])
+	sess := x.sess
+	x.inflight.Add(1)
 	go func() {
+		defer x.inflight.Done()
 		var rs []NodeResult
 		var err error
-		if ps, ok := x.sess.(ShardSessionParts); ok && len(parts) > 0 {
+		if ps, ok := sess.(ShardSessionParts); ok && len(parts) > 0 {
 			rs, err = ps.RunSliceParts(ctx, j, run.level.Number, wire, parts)
 		} else {
-			rs, err = x.sess.RunSlice(ctx, j, run.level.Number, wire)
+			rs, err = sess.RunSlice(ctx, j, run.level.Number, wire)
 		}
 		if err == nil && len(rs) != sp.hi-sp.lo {
 			err = fmt.Errorf("shard: slice %d returned %d results for %d tasks", j, len(rs), sp.hi-sp.lo)
@@ -438,7 +462,7 @@ func (t *traversal) dispatchContext() context.Context {
 // while N's stragglers finish. The prefix gate is what keeps the pipelined
 // schedule byte-identical: a task is never built before all of its parents
 // hold their final post-apply validity.
-func (x *shardedExecutor) maybePrefetch(t *traversal, cur *lattice.Level, run *levelRun, committed, candidates int) {
+func (x *dispatcher) maybePrefetch(t *traversal, cur *lattice.Level, run *levelRun, committed, candidates int) {
 	if x.sess == nil {
 		return
 	}
@@ -470,23 +494,14 @@ func (x *shardedExecutor) maybePrefetch(t *traversal, cur *lattice.Level, run *l
 			continue
 		}
 		// Slice j of the next level goes out only after slice j of cur
-		// drained: the shard→worker mapping is stable, so that worker is the
+		// drained: the shard→runner mapping is stable, so that runner is the
 		// idle one (stragglers keep their slice of cur in flight and are not
-		// handed more work).
+		// handed more work). The partitions a prefetched slice may need are
+		// cur's, which depend on the data alone: they can be filled now.
 		if j >= len(run.done) || !run.done[j] {
 			continue
 		}
-		pend.dispatched[j] = true
-		var parts []SeedPartition
-		if ship {
-			// A prefetched slice dispatches only once every parent of its
-			// tasks lies in cur's committed prefix, so the parent partitions
-			// it needs are materializable right now (PartitionIn resolves
-			// them lazily, here on the commit goroutine — the same
-			// serialization applyTask runs under).
-			parts = sliceParts(t, pend, j, cur)
-		}
-		x.dispatch(ctx, pend, j, parts)
+		x.dispatch(ctx, t, pend, j, cur, ship)
 	}
 }
 
@@ -513,20 +528,16 @@ func maxParentIndexes(next, cur *lattice.Level) []int {
 }
 
 // runLocal executes a slice on the coordinator, resolving partitions through
-// the lattice like the serial executor. Serialized by localMu: concurrent
-// fallback slices share one engine and the nodes' lazily materialized
-// partitions.
-func (x *shardedExecutor) runLocal(t *traversal, tasks []NodeTask, results []NodeResult, prev, prev2 *lattice.Level) {
-	x.localMu.Lock()
-	defer x.localMu.Unlock()
-	src := levelSource{e: x.eng, parents: prev, grandparents: prev2}
+// the memo like the inline path. It runs on the dispatching goroutine, like
+// every other coordinator-side use of the engine and the memo.
+func (x *dispatcher) runLocal(tasks []NodeTask, results []NodeResult) {
 	for i := range tasks {
 		if x.eng.aborted() {
 			return
 		}
 		// Results are retained until the level's apply pass, so each slot is
 		// filled in place rather than through the engine scratch.
-		x.eng.execTask(&tasks[i], src, &results[i])
+		x.eng.execTask(&tasks[i], &results[i])
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"aod/internal/lattice"
-	"aod/internal/partition"
 	"aod/internal/validate"
 )
 
@@ -34,9 +33,9 @@ type NodeTask struct {
 	ParentConst []uint64 `json:"parentConst"`
 	// OCValid and OCValidDesc are the propagated pair-validity bitsets
 	// (lattice.PairSet words): pairs with a valid OC in some sub-context,
-	// pruning non-minimal OC candidates. In the local executors the slices
-	// alias the node's own sets (zero copy); on the wire they serialize as
-	// plain integers.
+	// pruning non-minimal OC candidates. On the inline path the slices alias
+	// the node's own sets (zero copy); dispatched slices carry copies, and on
+	// the wire they serialize as plain integers.
 	OCValid     []uint64 `json:"ocValid,omitempty"`
 	OCValidDesc []uint64 `json:"ocValidDesc,omitempty"`
 }
@@ -93,7 +92,7 @@ func (ts *TaskStats) addTo(s *Stats) {
 // NodeResult is the serializable outcome of executing one NodeTask: the
 // verified dependencies in canonical in-node order, the new validity bits for
 // downstream pruning, and the task's stats fragment. Applying results in
-// node order reproduces the serial executor's result and (non-timing) stats
+// node order reproduces the inline path's result and (non-timing) stats
 // exactly, wherever the tasks actually ran.
 type NodeResult struct {
 	// Candidates is the number of candidates validated (the early-stop
@@ -106,9 +105,9 @@ type NodeResult struct {
 	Stats    TaskStats `json:"stats"`
 }
 
-// reset clears the result for reuse, keeping slice capacity — the serial and
-// pool executors apply each node's result immediately, so one scratch
-// NodeResult per engine serves every node allocation-free.
+// reset clears the result for reuse, keeping slice capacity — the inline path
+// applies each node's result immediately, so one scratch NodeResult per
+// engine serves every node allocation-free.
 func (nr *NodeResult) reset() {
 	nr.Candidates = 0
 	nr.NewConst = 0
@@ -122,42 +121,6 @@ var (
 	dirAsc  = [...]bool{false}
 	dirBoth = [...]bool{false, true}
 )
-
-// partSource abstracts where a task execution gets its context partitions:
-// the coordinator's lattice (levelSource — parents and grandparents already
-// materialized or materialized on demand into the shared arena), or a shard
-// worker's fold cache (foldSource — rebuilt from cached single-column
-// partitions). classIDsOf backs the sorted-scan exact route, which only the
-// serial executor enables; other sources never receive the call.
-type partSource interface {
-	partitionOf(set lattice.AttrSet, st *TaskStats) *partition.Stripped
-	classIDsOf(set lattice.AttrSet) []int32
-}
-
-// levelSource resolves partitions through the lattice levels of the running
-// traversal — the in-process fast path shared by the serial and pool
-// executors (and the sharded executor's local fallback).
-type levelSource struct {
-	e                     *engine
-	parents, grandparents *lattice.Level
-}
-
-func (s levelSource) node(set lattice.AttrSet) *lattice.Node {
-	if n := s.parents.Lookup(set); n != nil {
-		return n
-	}
-	return s.grandparents.Lookup(set)
-}
-
-func (s levelSource) partitionOf(set lattice.AttrSet, _ *TaskStats) *partition.Stripped {
-	// Partition time is charged to the engine's stats by materialize, exactly
-	// as the pre-task engine did.
-	return s.e.materialize(s.node(set))
-}
-
-func (s levelSource) classIDsOf(set lattice.AttrSet) []int32 {
-	return s.node(set).ClassIDs(s.e.t.singles)
-}
 
 // buildTask propagates validity state from the parents into the node (the
 // coordinator-side half of node processing, which needs the whole previous
@@ -201,9 +164,10 @@ func buildTask(node *lattice.Node, parents *lattice.Level, numAttrs int, bidirec
 // fresh one). It never mutates the task or any lattice state (each unordered
 // pair and attribute is examined exactly once per node, so no candidate
 // observes another's verdict within a node), which is what makes the work
-// unit location-transparent: the same code runs under the serial executor,
-// the pool workers, and a remote shard's TaskRunner.
-func (e *engine) execTask(task *NodeTask, parts partSource, nr *NodeResult) {
+// unit location-transparent: the same code runs inline on the coordinator,
+// on the pool's runners, and in a remote shard's TaskRunner. Context
+// partitions come from the traversal's memo.
+func (e *engine) execTask(task *NodeTask, nr *NodeResult) {
 	nr.reset()
 	st := &nr.Stats
 	set := lattice.AttrSet(task.Set)
@@ -221,7 +185,7 @@ func (e *engine) execTask(task *NodeTask, parts partSource, nr *NodeResult) {
 			// unless the pruning ablation wants the cost measured.
 			st.OFDSkipped++
 			if e.t.cfg.DisablePruning {
-				ctx := parts.partitionOf(set.Remove(d), st)
+				ctx := e.t.memo.Partition(set.Remove(d), &st.PartitionTime)
 				st.OFDCandidates++
 				nr.Candidates++
 				t0 := time.Now()
@@ -230,7 +194,7 @@ func (e *engine) execTask(task *NodeTask, parts partSource, nr *NodeResult) {
 			}
 			continue
 		}
-		ctx := parts.partitionOf(set.Remove(d), st)
+		ctx := e.t.memo.Partition(set.Remove(d), &st.PartitionTime)
 		st.OFDCandidates++
 		nr.Candidates++
 		t0 := time.Now()
@@ -290,16 +254,16 @@ func (e *engine) execTask(task *NodeTask, parts partSource, nr *NodeResult) {
 				gpSet := set.Remove(a).Remove(b)
 				if skip {
 					if e.t.cfg.DisablePruning {
-						ctx := parts.partitionOf(gpSet, st)
+						ctx := e.t.memo.Partition(gpSet, &st.PartitionTime)
 						st.OCCandidates++
 						nr.Candidates++
 						t0 := time.Now()
-						e.validateOCVia(parts, gpSet, ctx, a, b, desc)
+						e.validateOCVia(gpSet, ctx, a, b, desc)
 						st.ValidationTime += time.Since(t0)
 					}
 					continue
 				}
-				ctx := parts.partitionOf(gpSet, st)
+				ctx := e.t.memo.Partition(gpSet, &st.PartitionTime)
 				st.OCCandidates++
 				nr.Candidates++
 				t0 := time.Now()
@@ -308,7 +272,7 @@ func (e *engine) execTask(task *NodeTask, parts partSource, nr *NodeResult) {
 					st.ValidationTime += time.Since(t0)
 					continue
 				}
-				r := e.validateOCVia(parts, gpSet, ctx, a, b, desc)
+				r := e.validateOCVia(gpSet, ctx, a, b, desc)
 				st.ValidationTime += time.Since(t0)
 				if r.Valid {
 					oc := TaskOC{A: a, B: b, Descending: desc, Error: r.Error, Removals: r.Removals}

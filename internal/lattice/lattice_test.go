@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"aod/internal/dataset"
 	"aod/internal/partition"
@@ -199,16 +200,18 @@ func singlesOf(tbl *dataset.Table) []*partition.Stripped {
 }
 
 func TestLevelGenerationEnumeratesAllSets(t *testing.T) {
-	tbl := buildTestTable(t, 5, 20, 1)
-	singles := singlesOf(tbl)
-	l0 := Level0(tbl.NumRows(), 5)
-	l1 := Level1(l0, tbl, singles)
+	l0 := Level0(5)
+	l1 := Level1(5)
+	if len(l0.Nodes) != 1 || l0.Lookup(0) == nil {
+		t.Fatalf("level 0 = %v", l0.Nodes)
+	}
 	if len(l1.Nodes) != 5 {
 		t.Fatalf("level 1 size = %d", len(l1.Nodes))
 	}
 	want := []int{10, 10, 5, 1} // C(5,2), C(5,3), C(5,4), C(5,5)
 	cur := l1
 	for lv := 2; lv <= 5; lv++ {
+		prev := cur
 		cur = NextLevel(cur, 5)
 		if len(cur.Nodes) != want[lv-2] {
 			t.Fatalf("level %d size = %d, want %d", lv, len(cur.Nodes), want[lv-2])
@@ -222,13 +225,11 @@ func TestLevelGenerationEnumeratesAllSets(t *testing.T) {
 				t.Fatalf("duplicate node %v", n.Set)
 			}
 			seen[n.Set] = true
-			if n.parents[0] == nil || n.parents[1] == nil {
-				t.Fatalf("node %v missing parents", n.Set)
-			}
-			if n.parents[0].Set.Union(n.parents[1].Set) != n.Set {
-				t.Fatalf("node %v parents %v, %v do not union to it",
-					n.Set, n.parents[0].Set, n.parents[1].Set)
-			}
+			n.Set.ForEach(func(c int) {
+				if prev.Lookup(n.Set.Remove(c)) == nil {
+					t.Fatalf("node %v: parent %v missing from level %d", n.Set, n.Set.Remove(c), lv-1)
+				}
+			})
 		}
 	}
 	if next := NextLevel(cur, 5); len(next.Nodes) != 0 {
@@ -236,59 +237,115 @@ func TestLevelGenerationEnumeratesAllSets(t *testing.T) {
 	}
 }
 
+// canonicalFold computes Π_s in the memo's fold order — the product of the
+// sets missing s's two smallest attributes, recursively — with plain
+// allocation and no memoization.
+func canonicalFold(singles []*partition.Stripped, s AttrSet) *partition.Stripped {
+	switch s.Card() {
+	case 0:
+		return partition.Universe(singles[0].N)
+	case 1:
+		return singles[s.Min()]
+	}
+	c1 := s.Min()
+	c2 := s.Remove(c1).Min()
+	return canonicalFold(singles, s.Remove(c1)).Product(canonicalFold(singles, s.Remove(c2)))
+}
+
+// requireSameCSR asserts byte-identical partitions: the same classes in the
+// same order with the same row order — the order removal sets observe.
+func requireSameCSR(t *testing.T, label string, got, want *partition.Stripped) {
+	t.Helper()
+	gr, go_ := got.RawCSR()
+	wr, wo := want.RawCSR()
+	if got.N != want.N || !reflect.DeepEqual(gr, wr) || !reflect.DeepEqual(go_, wo) {
+		t.Fatalf("%s: CSR differs:\ngot  %v\nwant %v", label, got, want)
+	}
+}
+
+// cloneCSR copies a partition out of arena memory that may be recycled.
+func cloneCSR(t *testing.T, p *partition.Stripped) *partition.Stripped {
+	t.Helper()
+	rows, offs := p.RawCSR()
+	c, err := partition.FromCSR(p.N, append([]int32(nil), rows...), append([]int32(nil), offs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestLazyPartitionMatchesDirectProduct(t *testing.T) {
 	tbl := buildTestTable(t, 4, 40, 2)
 	singles := singlesOf(tbl)
-	l0 := Level0(tbl.NumRows(), 4)
-	l1 := Level1(l0, tbl, singles)
-	l2 := NextLevel(l1, 4)
-	l3 := NextLevel(l2, 4)
-	for _, n := range l3.Nodes {
-		if n.HasPartition() {
-			t.Fatalf("node %v materialized eagerly", n.Set)
+	lazy := NewMemo(partition.NewArena(), singles)
+	filled := NewMemo(partition.NewArena(), singles)
+	if _, builds, _ := lazy.Counters(); builds != 0 {
+		t.Fatalf("memo built %d partitions eagerly", builds)
+	}
+	lvl := Level1(4)
+	for lv := 2; lv <= 4; lv++ {
+		lvl = NextLevel(lvl, 4)
+		filled.FillLevel(lvl, 3)
+		for _, n := range lvl.Nodes {
+			got := lazy.Partition(n.Set, nil)
+			want := canonicalFold(singles, n.Set)
+			requireSameCSR(t, "lazy "+n.Set.String(), got, want)
+			requireSameCSR(t, "filled "+n.Set.String(), filled.Partition(n.Set, nil), want)
+			// The set family also matches a plain left fold over the singles.
+			attrs := n.Set.Attrs()
+			direct := singles[attrs[0]]
+			for _, a := range attrs[1:] {
+				direct = direct.Product(singles[a])
+			}
+			if !got.Refines(direct) || !direct.Refines(got) {
+				t.Fatalf("node %v: partitions differ", n.Set)
+			}
 		}
-		got := n.Partition(singles)
-		// Reference: fold singles directly.
-		attrs := n.Set.Attrs()
-		want := singles[attrs[0]]
-		for _, a := range attrs[1:] {
-			want = want.Product(singles[a])
-		}
-		if got.NumClasses() != want.NumClasses() || got.Size() != want.Size() {
-			t.Fatalf("node %v: lazy partition %v != direct %v", n.Set, got, want)
-		}
-		if !got.Refines(want) || !want.Refines(got) {
-			t.Fatalf("node %v: partitions differ", n.Set)
-		}
+	}
+	if hits, _, _ := filled.Counters(); hits == 0 {
+		t.Error("filled memo never served a memoized lookup")
 	}
 }
 
 func TestPartitionReleaseAndRematerialize(t *testing.T) {
 	tbl := buildTestTable(t, 3, 30, 3)
 	singles := singlesOf(tbl)
-	l0 := Level0(tbl.NumRows(), 3)
-	l1 := Level1(l0, tbl, singles)
-	l2 := NextLevel(l1, 3)
-	n := l2.Nodes[0]
-	p1 := n.Partition(singles)
-	n.ReleasePartition(nil)
-	if n.HasPartition() {
-		t.Fatal("partition not released")
+	m := NewMemo(partition.NewArena(), singles)
+	s := NewAttrSet(0, 2)
+	var spent time.Duration
+	p1 := cloneCSR(t, m.Partition(s, &spent))
+	ids := append([]int32(nil), m.ClassIDs(s)...)
+	// Level 4 still reads 2-attribute grandparents: nothing is released.
+	m.Advance(4)
+	m.Partition(s, nil)
+	if _, builds, _ := m.Counters(); builds != 1 {
+		t.Fatalf("builds = %d after a lookup within the horizon, want 1", builds)
 	}
-	// Release the parents too, forcing the fold-from-singles path.
-	n.parents[0].ReleasePartition(nil)
-	n.parents[1].ReleasePartition(nil)
-	p2 := n.Partition(singles)
-	if p1.NumClasses() != p2.NumClasses() || !p1.Refines(p2) || !p2.Refines(p1) {
-		t.Fatal("re-materialized partition differs")
+	// Level 5 never reads 2-attribute sets: the partition recycles and a
+	// later request rebuilds it, identically.
+	m.Advance(5)
+	p2 := m.Partition(s, &spent)
+	if _, builds, _ := m.Counters(); builds != 2 {
+		t.Fatalf("builds = %d after release, want 2", builds)
+	}
+	requireSameCSR(t, "rematerialized", p2, p1)
+	if got := m.ClassIDs(s); !reflect.DeepEqual(got, ids) {
+		t.Fatalf("class ids differ after release: %v vs %v", got, ids)
+	}
+	// A shipped duplicate loses to the memoized copy; a new set is adopted.
+	if m.Install(s, cloneCSR(t, p1)) {
+		t.Error("Install replaced a memoized partition")
+	}
+	if !m.Install(NewAttrSet(0, 1), canonicalFold(singles, NewAttrSet(0, 1))) {
+		t.Error("Install refused a new partition")
+	}
+	if _, _, seeded := m.Counters(); seeded != 1 {
+		t.Errorf("seeded = %d, want 1", seeded)
 	}
 }
 
 func TestLevelLookup(t *testing.T) {
-	tbl := buildTestTable(t, 3, 10, 4)
-	singles := singlesOf(tbl)
-	l0 := Level0(tbl.NumRows(), 3)
-	l1 := Level1(l0, tbl, singles)
+	l1 := Level1(3)
 	if l1.Lookup(NewAttrSet(1)) == nil {
 		t.Error("Lookup {1} failed")
 	}

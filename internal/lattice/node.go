@@ -1,11 +1,6 @@
 package lattice
 
-import (
-	"math/bits"
-
-	"aod/internal/dataset"
-	"aod/internal/partition"
-)
+import "math/bits"
 
 // Node is one attribute set in the lattice, together with the validity state
 // that drives pruning:
@@ -18,11 +13,12 @@ import (
 //   - OCValid: unordered pairs {A,B} ⊆ Set such that the approximate OC
 //     Y: A ∼ B is valid for some context Y ⊆ Set\{A,B}.
 //
-// Partitions are materialized lazily (see Partition): nodes whose subtree
-// never validates anything never pay the partition-product cost. This is the
-// mechanism behind the paper's Exp-5 observation that approximate discovery
-// can be faster than exact discovery: AOCs/AOFDs are found at lower levels,
-// validity state saturates sooner, and the engine stops early.
+// Nodes hold no partitions: Π_Set comes from the traversal's Memo, built only
+// when a candidate needs it, so nodes whose subtree never validates anything
+// never pay the partition-product cost. This is the mechanism behind the
+// paper's Exp-5 observation that approximate discovery can be faster than
+// exact discovery: AOCs/AOFDs are found at lower levels, validity state
+// saturates sooner, and the engine stops early.
 type Node struct {
 	// Set is the attribute set of this node.
 	Set AttrSet
@@ -36,107 +32,14 @@ type Node struct {
 	// mixed-direction OC (A ascending, B descending) in some sub-context.
 	// Allocated only when bidirectional discovery is enabled.
 	OCValidDesc *PairSet
-
-	// part is the stripped partition Π_Set, materialized on demand.
-	part *partition.Stripped
-	// owned marks a partition built by this node (a product), as opposed to
-	// a shared single-attribute or universe partition: only owned partitions
-	// may be recycled into an arena on release.
-	owned bool
-	// classIDs caches part.ClassIDs() for sorted-scan validation.
-	classIDs []int32
-	// parents are two generating parents with Set = p0.Set ∪ p1.Set
-	// (nil for levels 0 and 1).
-	parents [2]*Node
 }
 
-// ClassIDs returns (and caches) the per-row class ids of the node's
-// partition, materializing the partition if needed.
-func (n *Node) ClassIDs(singles []*partition.Stripped) []int32 {
-	if n.classIDs == nil {
-		n.classIDs = n.Partition(singles).ClassIDs()
-	}
-	return n.classIDs
-}
-
-// Partition returns Π_Set, materializing it on demand from the two
-// generating parents (recursively), or — if an ancestor's partition was
-// already released — by folding single-attribute partitions.
-func (n *Node) Partition(singles []*partition.Stripped) *partition.Stripped {
-	return n.PartitionIn(nil, singles)
-}
-
-// PartitionIn is Partition with an arena: products draw their CSR buffers
-// (and probe scratch) from a, so a traversal that releases exhausted levels
-// back into the same arena materializes each new level with near-zero
-// allocations. A nil arena falls back to plain allocation.
-func (n *Node) PartitionIn(a *partition.Arena, singles []*partition.Stripped) *partition.Stripped {
-	if n.part != nil {
-		return n.part
-	}
-	switch {
-	case n.Level == 0:
-		n.part = partition.Universe(singles[0].N)
-	case n.Level == 1:
-		n.part = singles[n.Set.Min()]
-	case n.parents[0] != nil && n.parents[1] != nil:
-		// Levels >= 2 have two proper parents at level-1 cardinality; the
-		// product of any two distinct strict subsets covering Set yields
-		// Π_Set.
-		p0 := n.parents[0].PartitionIn(a, singles)
-		p1 := n.parents[1].PartitionIn(a, singles)
-		n.part = productIn(a, p0, p1)
-		n.owned = true
-	default:
-		// Fallback: fold single-attribute partitions, recycling the
-		// intermediate products.
-		attrs := n.Set.Attrs()
-		p := singles[attrs[0]]
-		for i, c := range attrs[1:] {
-			next := productIn(a, p, singles[c])
-			if i > 0 && a != nil {
-				a.Recycle(p)
-			}
-			p = next
-		}
-		n.part = p
-		n.owned = true
-	}
-	return n.part
-}
-
-func productIn(a *partition.Arena, p, q *partition.Stripped) *partition.Stripped {
-	if a == nil {
-		return p.Product(q)
-	}
-	return a.Product(p, q)
-}
-
-// HasPartition reports whether the partition is currently materialized.
-func (n *Node) HasPartition() bool { return n.part != nil }
-
-// ReleasePartition frees the materialized partition (and cached class ids)
-// to bound memory; both can be re-materialized later if needed. When the
-// node owns its partition (a product) and a is non-nil, the partition's
-// buffers are recycled into the arena — the caller must guarantee no live
-// references remain.
-func (n *Node) ReleasePartition(a *partition.Arena) {
-	if n.owned && a != nil {
-		a.Recycle(n.part)
-	}
-	n.part = nil
-	n.owned = false
-	n.classIDs = nil
-}
-
-// Level0 builds the level-0 lattice: the single empty-set node whose
-// partition is the universe partition (one class with all rows).
-func Level0(numRows, numAttrs int) *Level {
+// Level0 builds the level-0 lattice: the single empty-set node.
+func Level0(numAttrs int) *Level {
 	n := &Node{
 		Set:     0,
 		Level:   0,
 		OCValid: NewPairSet(numAttrs),
-		part:    partition.Universe(numRows),
 	}
 	return &Level{Number: 0, Nodes: []*Node{n}, bySet: map[AttrSet]*Node{0: n}}
 }
@@ -159,18 +62,14 @@ func (l *Level) Lookup(s AttrSet) *Node {
 	return l.bySet[s]
 }
 
-// Level1 builds the level-1 lattice from per-attribute partitions, linking
-// every singleton to the level-0 node.
-func Level1(l0 *Level, tbl *dataset.Table, singles []*partition.Stripped) *Level {
-	numAttrs := tbl.NumCols()
+// Level1 builds the level-1 lattice: one singleton node per attribute.
+func Level1(numAttrs int) *Level {
 	lvl := &Level{Number: 1, bySet: make(map[AttrSet]*Node, numAttrs)}
 	for a := 0; a < numAttrs; a++ {
 		n := &Node{
 			Set:     NewAttrSet(a),
 			Level:   1,
 			OCValid: NewPairSet(numAttrs),
-			part:    singles[a],
-			parents: [2]*Node{l0.Nodes[0], l0.Nodes[0]},
 		}
 		lvl.Nodes = append(lvl.Nodes, n)
 		lvl.bySet[n.Set] = n
@@ -224,26 +123,19 @@ func binomial(n, k int) int64 {
 
 // NextLevel generates level ℓ+1 from level ℓ: every set S with |S| = ℓ+1 is
 // produced exactly once by extending the node of S \ {max attr} with an
-// attribute larger than its maximum; the two generating parents chosen for
-// partition products are S\{c1} and S\{c2} for the two smallest attrs c1, c2
-// of S (both exist in level ℓ because levels are generated exhaustively).
-// Partitions are NOT computed here; see Node.Partition.
+// attribute larger than its maximum. Partitions are not computed here; see
+// Memo.
 func NextLevel(cur *Level, numAttrs int) *Level {
 	next := &Level{Number: cur.Number + 1, bySet: make(map[AttrSet]*Node)}
 	for _, n := range cur.Nodes {
 		for c := n.Set.Max() + 1; c < numAttrs; c++ {
-			s := n.Set.Add(c)
-			attrs := s.Attrs()
-			p0 := cur.bySet[s.Remove(attrs[0])]
-			p1 := cur.bySet[s.Remove(attrs[1])]
 			child := &Node{
-				Set:     s,
+				Set:     n.Set.Add(c),
 				Level:   next.Number,
 				OCValid: NewPairSet(numAttrs),
-				parents: [2]*Node{p0, p1},
 			}
 			next.Nodes = append(next.Nodes, child)
-			next.bySet[s] = child
+			next.bySet[child.Set] = child
 		}
 	}
 	return next

@@ -187,6 +187,7 @@ func TestQueueShedBounds(t *testing.T) {
 		Replicas:      []string{be.URL},
 		MaxQueueAge:   maxAge,
 		ProbeInterval: time.Hour,
+		Transport:     healthyTransport{},
 	})
 	for _, age := range []time.Duration{
 		maxAge + time.Millisecond, 5 * time.Second, 42 * time.Second, 10 * time.Minute,

@@ -160,8 +160,10 @@ func (rt *Router) probe(rp *replica) {
 	if err != nil {
 		return
 	}
+	// Stamped last, once the result is folded in: a reader that sees the
+	// stamp sees the probe's effect on the replica state.
+	defer func() { rp.probedAt.Store(rt.now().UnixNano()) }()
 	resp, err := rt.transport.RoundTrip(req)
-	rp.probedAt.Store(rt.now().UnixNano())
 	if err != nil {
 		rt.setUp(rp, false, err.Error())
 		return

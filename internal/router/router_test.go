@@ -34,8 +34,9 @@ func TestSplitJobID(t *testing.T) {
 	}
 }
 
-// newTestRouter builds a router over the given bases without waiting on
-// probes (replicas start optimistically up).
+// newTestRouter builds a router over the given bases and waits for every
+// replica's first probe (fired by New) to complete, so a test's direct
+// writes to replica state never race it.
 func newTestRouter(t *testing.T, cfg Config) *Router {
 	t.Helper()
 	rt, err := New(cfg)
@@ -43,7 +44,39 @@ func newTestRouter(t *testing.T, cfg Config) *Router {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
+	deadline := time.Now().Add(10 * time.Second)
+	for _, rp := range rt.replicas {
+		for rp.probedAt.Load() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %s: first probe did not complete", rp.base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	return rt
+}
+
+// healthyTransport answers every /healthz probe with the same healthy, idle
+// replica view and forwards all other requests to the default transport:
+// probes of fake hosts never touch a resolver, and their outcome is fixed.
+type healthyTransport struct{}
+
+func (healthyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != "/healthz" {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	const body = `{"status":"ok","queuedJobs":0,"jobsInFlight":0,"oldestQueueAgeNs":0}`
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Status:        "200 OK",
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        http.Header{"Content-Type": {"application/json"}},
+		Body:          io.NopCloser(strings.NewReader(body)),
+		ContentLength: int64(len(body)),
+		Request:       req,
+	}, nil
 }
 
 // TestRendezvousStability: candidate order is deterministic, spreads keys
@@ -53,7 +86,8 @@ func newTestRouter(t *testing.T, cfg Config) *Router {
 func TestRendezvousStability(t *testing.T) {
 	rt := newTestRouter(t, Config{
 		Replicas:      []string{"http://a:1", "http://b:1", "http://c:1"},
-		ProbeInterval: time.Hour, // keep probes quiet; fake hosts never resolve anyway
+		ProbeInterval: time.Hour, // one probe, at New
+		Transport:     healthyTransport{},
 	})
 	perHome := make(map[int]int)
 	for i := 0; i < 300; i++ {
@@ -230,6 +264,7 @@ func TestBackoffSchedule(t *testing.T) {
 			BackoffMax:    200 * time.Millisecond,
 			Seed:          seed,
 			ProbeInterval: time.Hour,
+			Transport:     healthyTransport{},
 		})
 		var out []time.Duration
 		for a := 1; a <= 6; a++ {

@@ -62,8 +62,13 @@ type WorkerStatus struct {
 	Sessions      uint64 `json:"sessions"`
 	AssignedTasks uint64 `json:"assignedTasks"`
 	// Failures counts dial, handshake, and slice failures.
-	Failures  uint64 `json:"failures"`
-	LastError string `json:"lastError,omitempty"`
+	Failures uint64 `json:"failures"`
+	// LocalFallbacks counts work the coordinator ran itself instead of on
+	// this worker: slices homed here whose every route failed, and whole
+	// jobs that ran locally because no worker completed the handshake
+	// (counted on every configured worker).
+	LocalFallbacks uint64 `json:"localFallbacks,omitempty"`
+	LastError      string `json:"lastError,omitempty"`
 }
 
 // Cluster is the coordinator-side shard pool over a fixed set of worker
@@ -90,6 +95,7 @@ type Cluster struct {
 	rxBytes    *telemetry.Counter
 	frames     *telemetry.Counter
 	partBytes  *telemetry.Counter
+	fallbacks  *telemetry.Counter
 }
 
 // initMetrics resolves the cluster's metric handles from Config.Metrics.
@@ -105,6 +111,7 @@ func (c *Cluster) initMetrics() {
 	c.rxBytes = r.Counter("aod_shard_bytes_total", telemetry.Label("dir", "rx"), "Shard protocol bytes by direction.")
 	c.frames = r.Counter("aod_shard_frames_total", "", "Shard protocol frames sent and received.")
 	c.partBytes = r.Counter("aod_shard_partition_bytes_total", "", "Bytes of coordinator-built partitions shipped in parts frames.")
+	c.fallbacks = r.Counter("aod_shard_local_fallbacks_total", "", "Jobs and slices the coordinator ran locally because every shard route failed.")
 }
 
 // New returns a Cluster over TCP worker addresses (host:port).
@@ -165,11 +172,10 @@ func (c *Cluster) note(addr string, fn func(st *WorkerStatus)) {
 // returning a session over the workers that answered. Coordinator-owned
 // policies are stripped from the shipped config (the worker never sees
 // TimeLimit — aborts arrive as canceled calls — nor the coordinator-local
-// sorted-scan and partition-retention knobs).
+// sorted-scan knob).
 func (c *Cluster) Open(ctx context.Context, tbl *dataset.Table, cfg core.Config) (core.ShardSession, error) {
 	cfg.TimeLimit = 0
 	cfg.UseSortedScan = false
-	cfg.KeepPartitions = false
 	hello := &helloMsg{
 		Proto:       protoVersion,
 		Fingerprint: dataset.Fingerprint(tbl),
@@ -233,9 +239,24 @@ func (c *Cluster) Open(ctx context.Context, tbl *dataset.Table, cfg core.Config)
 		}
 	}
 	if len(live) == 0 {
+		c.noteFallback(ctx, c.addrs...)
 		return nil, errors.New("shard: no worker reachable")
 	}
 	return &session{c: c, clients: live}, nil
+}
+
+// noteFallback records that the coordinator runs work locally that was
+// meant for the given workers — a whole job when no handshake succeeded, one
+// slice when every route for it failed. A canceled run's abandoned work is
+// not a fallback and is not counted.
+func (c *Cluster) noteFallback(ctx context.Context, addrs ...string) {
+	if ctx.Err() != nil {
+		return
+	}
+	c.fallbacks.Inc()
+	for _, a := range addrs {
+		c.note(a, func(st *WorkerStatus) { st.LocalFallbacks++ })
+	}
 }
 
 func (c *Cluster) noteFailure(addr string, err error) {
@@ -304,6 +325,9 @@ func (s *session) RunSlice(ctx context.Context, shard, level int, tasks []core.N
 func (s *session) RunSliceParts(ctx context.Context, shard, level int, tasks []core.NodeTask, parts []core.SeedPartition) ([]core.NodeResult, error) {
 	ordered := s.alive()
 	if len(ordered) == 0 {
+		if home := s.home(shard); home != "" {
+			s.c.noteFallback(ctx, home)
+		}
 		return nil, errors.New("shard: no live workers")
 	}
 	start := shard % len(ordered)
@@ -386,5 +410,17 @@ func (s *session) RunSliceParts(ctx context.Context, shard, level int, tasks []c
 			return nil, ctx.Err()
 		}
 	}
+	s.c.noteFallback(ctx, ordered[0].addr)
 	return nil, firstErr
+}
+
+// home returns the address of the worker a shard's slices start on when all
+// workers are alive, or "" once the session is closed.
+func (s *session) home(shard int) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.clients) == 0 {
+		return ""
+	}
+	return s.clients[shard%len(s.clients)].addr
 }

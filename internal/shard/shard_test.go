@@ -11,6 +11,7 @@ import (
 	"aod/internal/core"
 	"aod/internal/dataset"
 	"aod/internal/gen"
+	"aod/internal/telemetry"
 )
 
 // discoverWith runs the pipeline under the given executor.
@@ -90,15 +91,25 @@ func TestExecutorEquivalenceMatrix(t *testing.T) {
 				}}),
 				NewWorker(WorkerOptions{}),
 			})
-			executors := map[string]core.Executor{
-				"pool-3":            core.Pool(3),
-				"sharded-lb2":       core.Sharded(Loopback(2)),
-				"sharded-lb3":       core.Sharded(Loopback(3)),
-				"sharded-straggler": core.Sharded(straggler),
+			clusters := map[string]*Cluster{
+				"sharded-lb2":       Loopback(2),
+				"sharded-lb3":       Loopback(3),
+				"sharded-straggler": straggler,
+			}
+			executors := map[string]core.Executor{"pool-3": core.Pool(3)}
+			for ename, c := range clusters {
+				executors[ename] = core.Sharded(c)
 			}
 			for ename, exec := range executors {
 				got := discoverWith(t, tbl, cfg, exec)
 				requireIdentical(t, tname+"/"+cname+"/"+ename, want, got)
+			}
+			// Every worker here is healthy: nothing may have fallen back to
+			// coordinator-local execution unnoticed.
+			for ename, c := range clusters {
+				if n := localFallbacks(c); n != 0 {
+					t.Errorf("%s/%s/%s: %d local fallbacks in a healthy cluster", tname, cname, ename, n)
+				}
 			}
 		}
 	}
@@ -144,12 +155,28 @@ func TestShardedAllWorkersDeadFallsBackLocally(t *testing.T) {
 	want := discoverWith(t, tbl, cfg, core.Serial())
 
 	die := func(level, tasks int) error { return errors.New("dead on arrival") }
-	cluster := NewLoopback(Config{}, []*Worker{
+	reg := telemetry.NewRegistry()
+	cluster := NewLoopback(Config{Metrics: reg}, []*Worker{
 		NewWorker(WorkerOptions{LevelHook: die}),
 		NewWorker(WorkerOptions{LevelHook: die}),
 	})
 	got := discoverWith(t, tbl, cfg, core.Sharded(cluster))
 	requireIdentical(t, "all-dead", want, got)
+	if n := localFallbacks(cluster); n < 1 {
+		t.Errorf("local fallbacks = %d, want ≥ 1: the coordinator ran the dead workers' slices", n)
+	}
+	if n := cluster.fallbacks.Value(); n < 1 {
+		t.Errorf("aod_shard_local_fallbacks_total = %d, want ≥ 1", n)
+	}
+}
+
+// localFallbacks sums the cluster's per-worker local-fallback counts.
+func localFallbacks(c *Cluster) uint64 {
+	var n uint64
+	for _, st := range c.Snapshot() {
+		n += st.LocalFallbacks
+	}
+	return n
 }
 
 // TestShardedUnreachablePoolRunsLocally points the cluster at an address

@@ -89,17 +89,16 @@ func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
 		deadline = start.Add(cfg.TimeLimit)
 	}
 
-	arena := partition.NewArena()
 	singles := make([]*partition.Stripped, numAttrs)
 	for a := 0; a < numAttrs; a++ {
 		singles[a] = partition.Single(tbl.Column(a))
 	}
+	memo := lattice.NewMemo(partition.NewArena(), singles)
 
 	res := &Result{}
 	v := validate.New()
-	l0 := lattice.Level0(tbl.NumRows(), numAttrs)
-	cur := lattice.Level1(l0, tbl, singles)
-	prev := l0
+	prev := lattice.Level0(numAttrs)
+	cur := lattice.Level1(numAttrs)
 	maxLevel := numAttrs
 	if cfg.MaxLevel > 0 && cfg.MaxLevel < maxLevel {
 		maxLevel = cfg.MaxLevel
@@ -107,6 +106,7 @@ func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
 
 	for cur.Number <= maxLevel && len(cur.Nodes) > 0 {
 		res.LevelsProcessed++
+		memo.Advance(cur.Number)
 		candidates := 0
 		for _, node := range cur.Nodes {
 			if !deadline.IsZero() && time.Now().After(deadline) {
@@ -129,8 +129,7 @@ func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
 				if propagated.Has(a) {
 					continue // valid with a smaller LHS: non-minimal
 				}
-				parent := prev.Lookup(node.Set.Remove(a))
-				ctx := parent.PartitionIn(arena, singles)
+				ctx := memo.Partition(node.Set.Remove(a), nil)
 				candidates++
 				res.Candidates++
 				r := v.ApproxOFD(ctx, tbl.Column(a), validate.Options{Threshold: cfg.Threshold})
@@ -151,14 +150,7 @@ func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
 		if cur.Number == maxLevel {
 			break
 		}
-		next := lattice.NextLevel(cur, numAttrs)
-		prevPrev := prev
-		prev, cur = cur, next
-		if prevPrev != l0 {
-			for _, n := range prevPrev.Nodes {
-				n.ReleasePartition(arena)
-			}
-		}
+		prev, cur = cur, lattice.NextLevel(cur, numAttrs)
 	}
 	res.TotalTime = time.Since(start)
 	sortFDs(res.FDs)

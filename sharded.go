@@ -75,7 +75,11 @@ type ShardWorkerStatus struct {
 	Sessions      uint64 `json:"sessions"`
 	AssignedTasks uint64 `json:"assignedTasks"`
 	Failures      uint64 `json:"failures"`
-	LastError     string `json:"lastError,omitempty"`
+	// LocalFallbacks counts work the coordinator ran itself instead of on
+	// this worker: slices homed here whose every route failed, and whole
+	// jobs that ran locally because no worker completed the handshake.
+	LocalFallbacks uint64 `json:"localFallbacks,omitempty"`
+	LastError      string `json:"lastError,omitempty"`
 }
 
 // Workers returns every worker's current status, ordered by address.
