@@ -449,16 +449,13 @@ func (rt *Router) routerz(w http.ResponseWriter, r *http.Request) {
 	for _, rp := range rt.replicas {
 		views = append(views, rp.view())
 	}
-	rt.submits.mu.Lock()
-	remembered := rt.submits.l.Len()
-	rt.submits.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"replicas":        views,
 		"defaultQuota":    rt.cfg.DefaultQuota,
 		"tenantQuotas":    rt.cfg.Quotas,
 		"maxQueueAge":     rt.cfg.MaxQueueAge.String(),
 		"maxAttempts":     rt.cfg.MaxAttempts,
-		"rememberedJobs":  remembered,
+		"rememberedJobs":  rt.submits.Len(),
 		"submitMemoryCap": submitMemoryCap,
 	})
 }

@@ -164,7 +164,7 @@ type Router struct {
 	mux       *http.ServeMux
 	met       routerMetrics
 	admit     *admitter
-	submits   *submitMemory
+	submits   submitMemory
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand

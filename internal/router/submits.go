@@ -1,9 +1,6 @@
 package router
 
-import (
-	"container/list"
-	"sync"
-)
+import "aod/internal/lru"
 
 // submitRecord is everything needed to replay one job submission on a
 // different replica: the original request body (it carries the dataset id
@@ -28,47 +25,17 @@ const maxRememberedBody = 64 << 10
 // correctness), and it is bounded — the router stays restartable and
 // effectively stateless.
 type submitMemory struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	l   *list.List // front = most recently used
+	*lru.Cache[string, submitRecord]
 }
 
-type submitEntry struct {
-	gid string
-	rec submitRecord
+func newSubmitMemory(capacity int) submitMemory {
+	return submitMemory{lru.New[string, submitRecord](int64(capacity), nil)}
 }
 
-func newSubmitMemory(capacity int) *submitMemory {
-	return &submitMemory{cap: capacity, m: make(map[string]*list.Element), l: list.New()}
-}
-
-func (sm *submitMemory) put(gid string, rec submitRecord) {
-	if len(rec.body) > maxRememberedBody {
-		return
-	}
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	if e, ok := sm.m[gid]; ok {
-		e.Value.(*submitEntry).rec = rec
-		sm.l.MoveToFront(e)
-		return
-	}
-	sm.m[gid] = sm.l.PushFront(&submitEntry{gid: gid, rec: rec})
-	for sm.l.Len() > sm.cap {
-		old := sm.l.Back()
-		sm.l.Remove(old)
-		delete(sm.m, old.Value.(*submitEntry).gid)
+func (sm submitMemory) put(gid string, rec submitRecord) {
+	if len(rec.body) <= maxRememberedBody {
+		sm.Put(gid, rec)
 	}
 }
 
-func (sm *submitMemory) get(gid string) (submitRecord, bool) {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	e, ok := sm.m[gid]
-	if !ok {
-		return submitRecord{}, false
-	}
-	sm.l.MoveToFront(e)
-	return e.Value.(*submitEntry).rec, true
-}
+func (sm submitMemory) get(gid string) (submitRecord, bool) { return sm.Get(gid) }

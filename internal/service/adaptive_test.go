@@ -7,8 +7,8 @@ import (
 )
 
 // TestPickExecutor pins the adaptive router's decision table: the work
-// estimate picks the tier, explicit Parallelism is never downgraded to
-// serial, and DisableAdaptive restores the pre-adaptive routing.
+// estimate picks the tier, and explicit Parallelism is never downgraded
+// to serial.
 func TestPickExecutor(t *testing.T) {
 	pool := aod.LoopbackShardPool(1)
 	defer pool.Close()
@@ -29,9 +29,6 @@ func TestPickExecutor(t *testing.T) {
 		{"explicit-parallelism-never-serial", Config{}, 1000, 4, execPool},
 		{"shard-cost-min-override", Config{ShardPool: pool, ShardCostMin: 1}, 1000, 0, execSharded},
 		{"serial-cost-max-negative-no-serial-tier", Config{SerialCostMax: -1}, 1, 0, execPool},
-		{"disabled-sharded-when-pool", Config{DisableAdaptive: true, ShardPool: pool}, 1, 0, execSharded},
-		{"disabled-serial-without-pool", Config{DisableAdaptive: true}, 1 << 40, 0, execSerial},
-		{"disabled-pool-on-parallelism", Config{DisableAdaptive: true}, 1, 4, execPool},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

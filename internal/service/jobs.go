@@ -553,19 +553,8 @@ const (
 // estimate (rows × cols × levels) predicts is fastest: serial for tiny jobs
 // where any fan-out is pure overhead, the in-process pool for the mid-range,
 // and the shard pool past ShardCostMin where columnar shipping amortizes.
-// Jobs asking for explicit Parallelism > 1 are never downgraded to serial,
-// and with DisableAdaptive the pre-adaptive routing applies (sharded iff a
-// pool is configured, otherwise the job's own Parallelism decides).
+// Jobs asking for explicit Parallelism > 1 are never downgraded to serial.
 func (s *Service) pickExecutor(j *Job) executorChoice {
-	if s.cfg.DisableAdaptive {
-		if s.cfg.ShardPool != nil {
-			return execSharded
-		}
-		if j.opts.Parallelism > 1 {
-			return execPool
-		}
-		return execSerial
-	}
 	cost := j.initialCost
 	if s.cfg.ShardPool != nil && cost >= s.cfg.ShardCostMin {
 		return execSharded
@@ -594,14 +583,16 @@ func (s *Service) warmFor(j *Job, ds *aod.Dataset) (aod.Warm, bool) {
 	if err != nil {
 		return warm, false // deregistered mid-run: run cold
 	}
-	if p, ok := s.prepared.get(info.Fingerprint); ok {
+	if p, ok := s.prepared.Get(info.Fingerprint); ok {
 		s.met.partitionHits.Inc()
 		warm.Prepared = p
 		return warm, true
 	}
 	s.met.partitionMisses.Inc()
 	p := ds.Prepare()
-	s.prepared.put(info.Fingerprint, p)
+	// A concurrent miss may have admitted an equal copy; this one replaces
+	// it, and jobs already holding that copy keep using it.
+	s.prepared.Put(info.Fingerprint, p)
 	warm.Prepared = p
 	return warm, false
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aod"
+	"aod/internal/lru"
 	"aod/internal/store"
 )
 
@@ -65,19 +66,22 @@ type Registry struct {
 	order []string // insertion order, for stable listings
 	max   int      // 0 = unbounded; bounds residency when st != nil
 	st    *store.Store
-	clock uint64 // logical LRU clock, ticked on Add and payload use
+	// resident holds the in-memory payloads by id: every payload in
+	// in-memory mode (unbounded; Add enforces max), the max most recently
+	// used in persistent mode, where evicting only drops the memory copy.
+	// Puts and removals happen under mu, so membership is stable for a
+	// holder of mu.RLock (a Get there only refreshes recency).
+	resident *lru.Cache[string, *aod.Dataset]
 }
 
 type storedDataset struct {
 	info DatasetInfo
-	ds   *aod.Dataset // nil while evicted to disk (persistent mode)
-	used uint64       // clock tick of the last payload use (LRU eviction)
 	// loading is non-nil while one goroutine reloads the payload from disk
 	// outside the registry lock; others wait on it and re-check. pinned
-	// marks an entry whose payload is being persisted by Add and must not
-	// be evicted before it is actually on disk.
+	// holds a payload Add is still writing through: it enters resident only
+	// once it is on disk, so it can never be evicted before then.
 	loading chan struct{}
-	pinned  bool
+	pinned  *aod.Dataset
 }
 
 // NewRegistry returns a registry bounded to max datasets (0 = unbounded).
@@ -85,7 +89,12 @@ type storedDataset struct {
 // previously uploaded dataset is listed immediately and its payload loads
 // from disk on first use.
 func NewRegistry(max int, st *store.Store) *Registry {
-	r := &Registry{byID: make(map[string]*storedDataset), max: max, st: st}
+	residentMax := 0
+	if st != nil {
+		residentMax = max
+	}
+	r := &Registry{byID: make(map[string]*storedDataset), max: max, st: st,
+		resident: lru.New[string, *aod.Dataset](int64(residentMax), nil)}
 	if st != nil {
 		for _, m := range st.Datasets() {
 			info := DatasetInfo{
@@ -115,7 +124,7 @@ func NewRegistry(max int, st *store.Store) *Registry {
 // persistence failure fails (and rolls back) the registration.
 //
 // Disk work happens outside the registry lock: the entry is inserted
-// resident-and-pinned first, so lookups proceed during the payload write.
+// pinned first, so lookups proceed during the payload write.
 // The one visible consequence: a concurrent identical upload can observe
 // the record before its durability is final; if the write then fails, the
 // record is rolled back and later use reports the dataset as unknown —
@@ -134,7 +143,7 @@ func (r *Registry) Add(name string, ds *aod.Dataset) (DatasetInfo, bool, error) 
 			return DatasetInfo{}, false, fmt.Errorf(
 				"service: dataset id collision: %q already maps to fingerprint %s", id, s.info.Fingerprint)
 		}
-		if s.ds != nil {
+		if r.payloadLocked(s) != nil {
 			// Idempotent re-upload of resident content: nothing to do (the
 			// freshly parsed copy is discarded unfrozen).
 			info := s.info
@@ -145,13 +154,9 @@ func (r *Registry) Add(name string, ds *aod.Dataset) (DatasetInfo, bool, error) 
 		// handed us the identical content: make it resident for free — and
 		// re-persist, which self-heals a payload file lost to quarantine or
 		// external corruption.
-		s.ds = ds
-		s.pinned = r.st != nil
-		r.clock++
-		s.used = r.clock
-		info := s.info
+		s.pinned = ds
 		r.mu.Unlock()
-		return r.finishPersist(s, info, ds, false)
+		return r.finishPersist(s, ds, false)
 	}
 	if r.st == nil && r.max > 0 && len(r.byID) >= r.max {
 		r.mu.Unlock()
@@ -167,83 +172,54 @@ func (r *Registry) Add(name string, ds *aod.Dataset) (DatasetInfo, bool, error) 
 		Types:       ds.ColumnTypes(),
 		CreatedAt:   time.Now().UTC(),
 	}
-	r.clock++
-	s := &storedDataset{info: info, ds: ds, used: r.clock, pinned: r.st != nil}
+	s := &storedDataset{info: info, pinned: ds}
 	r.byID[id] = s
 	r.order = append(r.order, id)
 	r.mu.Unlock()
-	return r.finishPersist(s, info, ds, true)
+	return r.finishPersist(s, ds, true)
 }
 
 // finishPersist writes the payload through to the store (outside the
-// registry lock), then unpins the entry and applies the residency bound. On
-// failure the registration is rolled back so Add never acknowledges
-// durability it does not have.
-func (r *Registry) finishPersist(s *storedDataset, info DatasetInfo, ds *aod.Dataset, created bool) (DatasetInfo, bool, error) {
-	if r.st == nil {
-		return info, created, nil
+// registry lock), then unpins it into the resident set, which evicts the
+// least recently used payload past the bound. On failure the registration
+// is rolled back so Add never acknowledges durability it does not have.
+func (r *Registry) finishPersist(s *storedDataset, ds *aod.Dataset, created bool) (DatasetInfo, bool, error) {
+	var err error
+	if r.st != nil {
+		err = r.st.PutDataset(metaOf(s.info), ds)
 	}
-	err := r.st.PutDataset(metaOf(info), ds)
 	r.mu.Lock()
-	s.pinned = false
+	defer r.mu.Unlock()
+	s.pinned = nil // on failure, back to the evicted state it was found in
 	if err != nil {
 		if created {
-			r.dropLocked(info.ID)
-		} else {
-			s.ds = nil // back to the evicted state it was found in
+			r.dropLocked(s.info.ID)
 		}
-		r.mu.Unlock()
 		return DatasetInfo{}, false, err
 	}
-	r.evictLocked(s)
-	r.mu.Unlock()
-	return info, created, nil
+	r.resident.Put(s.info.ID, ds)
+	return s.info, created, nil
+}
+
+// payloadLocked returns the entry's in-memory payload, or nil while it is
+// evicted to disk. Caller holds r.mu (read or write).
+func (r *Registry) payloadLocked(s *storedDataset) *aod.Dataset {
+	if ds, ok := r.resident.Get(s.info.ID); ok {
+		return ds
+	}
+	return s.pinned
 }
 
 // dropLocked removes the record. Caller holds r.mu.
 func (r *Registry) dropLocked(id string) {
 	delete(r.byID, id)
+	r.resident.Remove(id)
 	for i, oid := range r.order {
 		if oid == id {
 			r.order = append(r.order[:i], r.order[i+1:]...)
 			return
 		}
 	}
-}
-
-// evictLocked drops least-recently-used payloads from memory while the
-// resident set exceeds the bound, sparing keep and entries whose payloads
-// are not yet safely on disk (pinned). Only possible in persistent mode,
-// where evicting is just releasing the in-memory copy. Caller holds r.mu.
-func (r *Registry) evictLocked(keep *storedDataset) {
-	if r.st == nil || r.max <= 0 {
-		return
-	}
-	for r.residentLocked() > r.max {
-		var victim *storedDataset
-		for _, s := range r.byID {
-			if s.ds == nil || s.pinned || s == keep {
-				continue
-			}
-			if victim == nil || s.used < victim.used {
-				victim = s
-			}
-		}
-		if victim == nil {
-			return // nothing evictable; the bound yields to correctness
-		}
-		victim.ds = nil // disk retains the bytes; GC reclaims the memory
-	}
-}
-
-func (r *Registry) residentLocked() int {
-	n := 0
-	for _, s := range r.byID {
-		if s.ds != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Get returns the dataset and its record, lazily reloading the payload from
@@ -255,34 +231,27 @@ func (r *Registry) residentLocked() int {
 // must not stall submissions, listings, or other jobs — with a per-entry
 // flight so concurrent users of one cold dataset trigger exactly one read.
 func (r *Registry) Get(id string) (*aod.Dataset, DatasetInfo, error) {
-	if r.st == nil {
-		// In-memory mode: payloads are always resident and there is no LRU
-		// bookkeeping to update — a shared read lock suffices, exactly as
-		// before persistence existed.
-		r.mu.RLock()
-		defer r.mu.RUnlock()
-		s, ok := r.byID[id]
-		if !ok {
-			return nil, DatasetInfo{}, fmt.Errorf("%w: %q", ErrNoDataset, id)
-		}
-		return s.ds, s.info, nil
-	}
 	for {
-		r.mu.Lock()
+		// Hot path: a resident payload needs only the shared lock (the
+		// resident cache refreshes its recency under its own).
+		r.mu.RLock()
 		s, ok := r.byID[id]
+		var ds *aod.Dataset
+		if ok {
+			ds = r.payloadLocked(s)
+		}
+		r.mu.RUnlock()
 		if !ok {
-			r.mu.Unlock()
 			return nil, DatasetInfo{}, fmt.Errorf("%w: %q", ErrNoDataset, id)
 		}
-		if s.ds != nil {
-			// Hot path: a recency bump only. Nothing became resident, so
-			// there is nothing to evict — Add and the load path below run
-			// evictLocked when residency actually grows.
-			r.clock++
-			s.used = r.clock
-			ds, info := s.ds, s.info
+		if ds != nil {
+			return ds, s.info, nil
+		}
+
+		r.mu.Lock()
+		if r.byID[id] != s || r.payloadLocked(s) != nil {
 			r.mu.Unlock()
-			return ds, info, nil
+			continue // changed while unlocked: look again
 		}
 		if ch := s.loading; ch != nil {
 			r.mu.Unlock()
@@ -300,10 +269,10 @@ func (r *Registry) Get(id string) (*aod.Dataset, DatasetInfo, error) {
 		if err != nil {
 			// The store has already quarantined the payload and dropped it
 			// from the manifest; mirror that in the live registry — unless a
-			// concurrent re-upload resurrected the entry (s.ds set by Add)
+			// concurrent re-upload resurrected the entry (pinned by Add)
 			// while we were reading the doomed file, in which case the
 			// fresh registration wins and this Get simply retries.
-			if s.ds != nil {
+			if r.payloadLocked(s) != nil {
 				r.mu.Unlock()
 				close(ch)
 				continue
@@ -313,14 +282,10 @@ func (r *Registry) Get(id string) (*aod.Dataset, DatasetInfo, error) {
 			close(ch)
 			return nil, DatasetInfo{}, fmt.Errorf("%w: %q: %v", ErrDatasetUnavailable, id, err)
 		}
-		s.ds = ds
-		r.clock++
-		s.used = r.clock
-		info := s.info
-		r.evictLocked(s)
+		r.resident.Put(id, ds)
 		r.mu.Unlock()
 		close(ch)
-		return ds, info, nil
+		return ds, s.info, nil
 	}
 }
 
@@ -355,12 +320,9 @@ func (r *Registry) Len() int {
 }
 
 // Resident returns the number of datasets whose payload is currently held
-// in memory (equal to Len in in-memory mode).
-func (r *Registry) Resident() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.residentLocked()
-}
+// in memory (equal to Len in in-memory mode), not counting payloads Add is
+// still writing through.
+func (r *Registry) Resident() int { return r.resident.Len() }
 
 // metaOf converts the public record to the store's durable metadata.
 func metaOf(info DatasetInfo) store.DatasetMeta {

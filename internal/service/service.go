@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"aod"
+	"aod/internal/lru"
 	"aod/internal/store"
 	"aod/internal/telemetry"
 )
@@ -27,12 +28,14 @@ type Config struct {
 	// QueueDepth bounds the number of jobs waiting for a worker; Submit
 	// fails with ErrQueueFull beyond it (default 64; negative = unbounded).
 	QueueDepth int
-	// CacheSize is the result-cache capacity in reports (default 128;
-	// negative disables the in-memory cache).
+	// CacheSize bounds the result cache's in-memory LRU tier, in reports
+	// (default 128; negative disables the memory tier; a Store's disk tier
+	// is unaffected).
 	CacheSize int
 	// MaxDatasets bounds the registry (default 256; negative = unbounded).
 	// With a Store it bounds the in-memory resident set instead: uploads are
-	// never refused, the least recently used payload is evicted to disk.
+	// never refused, and the least recently used payload is dropped from
+	// memory once it is on disk, reloading on next use.
 	MaxDatasets int
 	// MaxJobHistory bounds retained job records: when exceeded, the oldest
 	// terminal jobs (and their reports) are evicted so a long-running server
@@ -50,10 +53,6 @@ type Config struct {
 	// and a degraded pool only slows jobs down. Per-worker health and
 	// assignment counts surface in Stats.Shards.
 	ShardPool *aod.ShardPool
-	// DisableAdaptive turns off work-estimate-based executor selection. The
-	// pre-adaptive routing then applies: every job runs sharded when
-	// ShardPool is set, otherwise locally with the job's own Parallelism.
-	DisableAdaptive bool
 	// SerialCostMax is the admission work estimate (rows × cols × levels, see
 	// aod.EstimateWork) at or below which a job runs on the serial in-process
 	// executor — below it, pool fan-out costs more in coordination than it
@@ -73,9 +72,10 @@ type Config struct {
 	// own quantum. 0 = the core default; negative = always full width.
 	ShardWorkQuantum int64
 	// PartitionCacheBytes bounds the cross-job partition memoization state:
-	// a fingerprint-keyed cache of prepared single-attribute partitions plus
-	// a shared partition-buffer arena, each retaining at most this many
-	// bytes. Repeat jobs against a registered dataset — same data, different
+	// a fingerprint-keyed LRU of prepared single-attribute partitions (an
+	// entry larger than the budget is not cached) plus a shared
+	// partition-buffer arena, each retaining at most this many bytes.
+	// Repeat jobs against a registered dataset — same data, different
 	// options — then skip cold-start partitioning (default 64 MiB; negative
 	// disables warm runs entirely). Results are identical either way.
 	PartitionCacheBytes int64
@@ -189,9 +189,16 @@ type Service struct {
 	peers    *peerClient // nil without Config.Peers
 	// prepared and arena are the cross-job partition memoization state (nil
 	// when PartitionCacheBytes disables it): prepared caches each dataset's
-	// single-attribute partitions by fingerprint, arena recycles partition
-	// buffers across jobs. Both are byte-bounded by PartitionCacheBytes.
-	prepared *preparedCache
+	// single-attribute partitions, arena recycles partition buffers across
+	// jobs. Both are byte-bounded by PartitionCacheBytes.
+	//
+	// prepared is keyed by content fingerprint, not dataset id or pointer:
+	// re-uploads, registry evictions and disk reloads produce fresh Dataset
+	// objects, but equal fingerprints guarantee identical discovery results.
+	// Entries are immutable (prepared partitions are marked shared), so one
+	// may back any number of concurrent jobs; eviction only drops the
+	// cache's reference, and running jobs keep theirs.
+	prepared *lru.Cache[string, *aod.PreparedDataset]
 	arena    *aod.PartitionArena
 	start    time.Time
 	draining atomic.Bool
@@ -308,7 +315,7 @@ func (s *Service) initMetrics() {
 	m.partitionHits = r.Counter("aod_partition_cache_hits_total", "", "Validation runs that reused cached prepared partitions (cold-start partitioning skipped).")
 	m.partitionMisses = r.Counter("aod_partition_cache_misses_total", "", "Validation runs that prepared partitions cold.")
 	r.GaugeFunc("aod_partition_cache_bytes", "", "Bytes retained by the prepared-partition cache and the shared partition arena.", func() int64 {
-		_, b, _ := s.prepared.stats()
+		b := s.prepared.Cost()
 		if s.arena != nil {
 			b += s.arena.RetainedBytes()
 		}
@@ -339,8 +346,8 @@ func New(cfg Config) *Service {
 		flights:  make(map[string]*flight),
 		reg:      cfg.Metrics,
 	}
-	s.prepared = newPreparedCache(cfg.PartitionCacheBytes)
 	if cfg.PartitionCacheBytes > 0 {
+		s.prepared = lru.New[string](cfg.PartitionCacheBytes, (*aod.PreparedDataset).MemBytes)
 		s.arena = aod.NewPartitionArena(cfg.PartitionCacheBytes)
 	}
 	if s.reg == nil {
@@ -506,9 +513,9 @@ type Stats struct {
 	// commit batches flushed vs writes acknowledged across them.
 	// BatchedWrites > GroupCommits means group commit is engaging under
 	// concurrent write load.
-	GroupCommits  uint64 `json:"groupCommits,omitempty"`
-	BatchedWrites uint64 `json:"batchedWrites,omitempty"`
-	ValidationRuns  uint64 `json:"validationRuns"`
+	GroupCommits   uint64 `json:"groupCommits,omitempty"`
+	BatchedWrites  uint64 `json:"batchedWrites,omitempty"`
+	ValidationRuns uint64 `json:"validationRuns"`
 	// Partition memoization (the cross-job warm path): hits count validation
 	// runs that reused cached prepared partitions, misses count cold
 	// preparations; bytes is the retained cache + shared-arena footprint.
@@ -583,15 +590,15 @@ func (s *Service) Stats() Stats {
 		QueueDepth:        s.cfg.QueueDepth,
 		Uptime:            time.Since(s.start),
 	}
-	pe, pb, pev := s.prepared.stats()
+	pb := s.prepared.Cost()
 	if s.arena != nil {
 		pb += s.arena.RetainedBytes()
 	}
 	st.PartitionCacheHits = s.met.partitionHits.Value()
 	st.PartitionCacheMisses = s.met.partitionMisses.Value()
-	st.PartitionCacheEntries = pe
+	st.PartitionCacheEntries = s.prepared.Len()
 	st.PartitionCacheBytes = pb
-	st.PartitionCacheEvictions = pev
+	st.PartitionCacheEvictions = s.prepared.Evictions()
 	st.CacheDiskHits = s.cache.diskHits.Load()
 	st.PersistErrors = s.cache.persistErrors.Load()
 	st.Draining = s.Draining()

@@ -244,7 +244,9 @@ func TestWorkerDatasetCache(t *testing.T) {
 	}
 }
 
-// TestWorkerDatasetCacheEviction bounds the prepared-dataset cache.
+// TestWorkerDatasetCacheEviction bounds the prepared-dataset cache and
+// checks that the bound drops the least recently used dataset, not the
+// oldest inserted.
 func TestWorkerDatasetCacheEviction(t *testing.T) {
 	w := NewWorker(WorkerOptions{MaxDatasets: 2})
 	cluster := NewLoopback(Config{}, []*Worker{w})
@@ -254,6 +256,24 @@ func TestWorkerDatasetCacheEviction(t *testing.T) {
 	}
 	if got := w.CachedDatasets(); got != 2 {
 		t.Errorf("cached datasets after eviction: %d, want 2", got)
+	}
+
+	// Seeds 3 and 4 are cached. A job on 3 refreshes it, so admitting 5
+	// must drop 4: 3 then hits and 4 ships again.
+	run := func(seed int64) uint64 {
+		before := w.DatasetLoads()
+		discoverWith(t, gen.Uniform(60, 3, 3, seed), cfg, core.Sharded(cluster))
+		return w.DatasetLoads() - before
+	}
+	if n := run(3); n != 0 {
+		t.Fatalf("cached dataset 3 shipped %d times", n)
+	}
+	run(5)
+	if n := run(3); n != 0 {
+		t.Errorf("recently used dataset 3 was evicted (shipped %d times)", n)
+	}
+	if n := run(4); n != 1 {
+		t.Errorf("least recently used dataset 4 shipped %d times, want 1 (evicted)", n)
 	}
 }
 

@@ -7,20 +7,20 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"aod/internal/core"
 	"aod/internal/dataset"
+	"aod/internal/lru"
 	"aod/internal/telemetry"
 )
 
 // WorkerOptions tunes a Worker. The zero value is ready for production use.
 type WorkerOptions struct {
-	// MaxDatasets bounds the prepared-dataset cache; past it the least
-	// recently used dataset (table + single-column partitions) is dropped.
-	// 0 selects the default (16); negative is unbounded.
+	// MaxDatasets bounds the prepared-dataset cache, an LRU of tables and
+	// their single-column partitions keyed by fingerprint. 0 selects the
+	// default (16); negative is unbounded.
 	MaxDatasets int
 	// Logf, when non-nil, receives one line per session event.
 	Logf func(format string, args ...any)
@@ -41,9 +41,10 @@ type WorkerOptions struct {
 type Worker struct {
 	opts WorkerOptions
 
-	mu    sync.Mutex
-	cache map[string]*cachedDataset
-	tick  uint64
+	// cache holds prepared datasets by fingerprint. Sessions holding an
+	// evicted PreparedTable keep using it; eviction only drops the cache's
+	// reference.
+	cache *lru.Cache[string, *core.PreparedTable]
 
 	// Counters, exposed for logging and tests.
 	sessions     atomic.Uint64
@@ -62,20 +63,12 @@ type Worker struct {
 	execHist *telemetry.Histogram
 }
 
-type cachedDataset struct {
-	prep *core.PreparedTable
-	used uint64
-}
-
 // NewWorker returns a Worker with an empty dataset cache.
 func NewWorker(opts WorkerOptions) *Worker {
 	if opts.MaxDatasets == 0 {
 		opts.MaxDatasets = 16
 	}
-	if opts.MaxDatasets < 0 {
-		opts.MaxDatasets = 0 // unbounded
-	}
-	w := &Worker{opts: opts, cache: make(map[string]*cachedDataset)}
+	w := &Worker{opts: opts, cache: lru.New[string, *core.PreparedTable](int64(opts.MaxDatasets), nil)}
 	if r := opts.Metrics; r != nil {
 		// The atomics below stay the source of truth; the registry samples
 		// them at scrape time, so nothing is double-counted.
@@ -94,11 +87,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 }
 
 // CachedDatasets returns the number of datasets currently prepared.
-func (w *Worker) CachedDatasets() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.cache)
-}
+func (w *Worker) CachedDatasets() int { return w.cache.Len() }
 
 // TasksRun returns the number of node tasks processed since start.
 func (w *Worker) TasksRun() uint64 { return w.tasksRun.Load() }
@@ -294,8 +283,8 @@ func (w *Worker) handshake(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) (*
 		return nil, fmt.Errorf("protocol mismatch: %d", h.Proto)
 	}
 
-	prep := w.lookup(h.Fingerprint)
-	if prep == nil {
+	prep, ok := w.cache.Get(h.Fingerprint)
+	if !ok {
 		if !w.reply(bw, &frame{T: "ack", Ack: &ackMsg{OK: true, NeedDataset: true}}) {
 			return nil, fmt.Errorf("requesting dataset")
 		}
@@ -318,7 +307,7 @@ func (w *Worker) handshake(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) (*
 			return nil, err
 		}
 		prep = core.Prepare(tbl)
-		w.store(h.Fingerprint, prep)
+		w.cache.Put(h.Fingerprint, prep)
 		w.logf("shard worker: cached dataset %.12s (%d rows × %d cols)", h.Fingerprint, tbl.NumRows(), tbl.NumCols())
 	}
 
@@ -341,39 +330,4 @@ func (w *Worker) reply(bw *bufio.Writer, f *frame) bool {
 	w.bytesTx.Add(uint64(n))
 	w.wireFrames.Add(1)
 	return bw.Flush() == nil
-}
-
-// lookup returns the cached prepared dataset and refreshes its LRU stamp.
-func (w *Worker) lookup(fingerprint string) *core.PreparedTable {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	e, ok := w.cache[fingerprint]
-	if !ok {
-		return nil
-	}
-	w.tick++
-	e.used = w.tick
-	return e.prep
-}
-
-// store caches the prepared dataset, evicting the least recently used entry
-// past the bound. Sessions holding an evicted PreparedTable keep using it —
-// eviction only drops the cache reference.
-func (w *Worker) store(fingerprint string, prep *core.PreparedTable) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.tick++
-	w.cache[fingerprint] = &cachedDataset{prep: prep, used: w.tick}
-	if w.opts.MaxDatasets <= 0 {
-		return
-	}
-	for len(w.cache) > w.opts.MaxDatasets {
-		oldest, min := "", uint64(0)
-		for fp, e := range w.cache {
-			if oldest == "" || e.used < min {
-				oldest, min = fp, e.used
-			}
-		}
-		delete(w.cache, oldest)
-	}
 }
