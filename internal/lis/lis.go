@@ -1,7 +1,8 @@
 // Package lis implements the sequence algorithms underlying approximate
 // order-compatibility validation: longest non-decreasing subsequence (LNDS)
 // computation in O(n log n) after Fredman's dynamic-programming formulation
-// [Fredman 1975], LNDS reconstruction via back-pointers (for minimal removal
+// [Fredman 1975] (length-only and budget-bounded, for validity verdicts),
+// LNDS reconstruction via back-pointers (for minimal removal
 // sets, Theorem 3.3 of the paper), strictly-increasing LIS (for the LIS-DEC
 // reduction in the optimality proof, Theorem 3.4), and per-element inversion
 // counting with a Fenwick tree (the swap counts used by the iterative
@@ -9,31 +10,12 @@
 package lis
 
 // LNDSLength returns the length of a longest non-decreasing subsequence of
-// seq in O(n log n) time and O(n) space.
+// seq in O(n log n) time and O(n) space. It is the allocating, unbounded
+// form of Scratch.LNDSLenWithin.
 func LNDSLength(seq []int32) int {
-	// tails[k] = smallest possible last element of a non-decreasing
-	// subsequence of length k+1. tails is itself non-decreasing.
-	tails := make([]int32, 0, 16)
-	for _, v := range seq {
-		// Find the first tail strictly greater than v (upper bound): equal
-		// values may extend a subsequence, so they replace only strictly
-		// larger tails.
-		lo, hi := 0, len(tails)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if tails[mid] <= v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == len(tails) {
-			tails = append(tails, v)
-		} else {
-			tails[lo] = v
-		}
-	}
-	return len(tails)
+	var s Scratch
+	kept, _ := s.LNDSLenWithin(seq, len(seq))
+	return kept
 }
 
 // LISLength returns the length of a longest strictly increasing subsequence
@@ -134,6 +116,72 @@ func (s *Scratch) LNDS(seq []int32) []int32 {
 		at = prev[at]
 	}
 	return out
+}
+
+// LNDSLenWithin returns kept, the length of a longest non-decreasing
+// subsequence of seq, and ok = true when seq needs at most limit removals
+// (len(seq) − kept ≤ limit) to become non-decreasing. Otherwise it stops at
+// the first prefix that needs limit+1 removals and returns ok = false with
+// kept the LNDS length of that prefix (a negative limit stops before the
+// first element). Stopping there is sound: any subsequence of the whole
+// restricts to one of the prefix, so removals(seq) ≥ p − LNDS(prefix) for
+// every prefix of length p. It keeps only the tail values, no back-pointers,
+// in the scratch's tail buffer.
+func (s *Scratch) LNDSLenWithin(seq []int32, limit int) (kept int, ok bool) {
+	return lndsLenWithin(s, seq, 0, limit)
+}
+
+// KeysLNDSLenWithin is LNDSLenWithin over the values packed into the low 32
+// bits of keys (the high bits are ignored), read as int32. With desc the
+// values are complemented first, which reverses their order: the kernel
+// then measures the longest non-increasing subsequence of the low bits.
+// Validators pass their sorted (A << 32 | B-key) keys directly, so no
+// projection is decoded.
+func (s *Scratch) KeysLNDSLenWithin(keys []uint64, desc bool, limit int) (kept int, ok bool) {
+	var mask uint32
+	if desc {
+		mask = ^uint32(0)
+	}
+	return lndsLenWithin(s, keys, mask, limit)
+}
+
+// lndsLenWithin is the one length kernel behind LNDSLenWithin and
+// KeysLNDSLenWithin: element e has value int32(uint32(e) ^ mask).
+func lndsLenWithin[E int32 | uint64](s *Scratch, seq []E, mask uint32, limit int) (kept int, ok bool) {
+	if limit < 0 {
+		return 0, false
+	}
+	if cap(s.tailsIdx) < len(seq) {
+		s.tailsIdx = make([]int32, 0, len(seq))
+	}
+	// tails[k] = smallest possible last value of a non-decreasing
+	// subsequence of length k+1; it is itself non-decreasing.
+	tails := s.tailsIdx[:0]
+	removed := 0 // prefix length − len(tails)
+	for _, e := range seq {
+		v := int32(uint32(e) ^ mask)
+		n := len(tails)
+		if n == 0 || tails[n-1] <= v {
+			tails = append(tails, v)
+			continue
+		}
+		// Replace the first tail strictly greater than v (upper bound):
+		// equal values may extend a subsequence.
+		lo, hi := 0, n-1
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if tails[mid] <= v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		tails[lo] = v
+		if removed++; removed > limit {
+			return len(tails), false
+		}
+	}
+	return len(tails), true
 }
 
 // Fenwick is a binary indexed tree over values 0..size-1 supporting point

@@ -304,3 +304,92 @@ func TestScratchLNDSMatchesLNDS(t *testing.T) {
 		t.Errorf("scratch LNDS allocates %.1f times per call, want 0", n)
 	}
 }
+
+// checkWithin verifies one LNDSLenWithin answer against the brute-force
+// LNDS: an accepted sequence reports its exact LNDS length; a rejected one
+// needs more than limit removals, and the prefix it stopped at needs exactly
+// limit+1 (so limit+1 is a certain lower bound on the whole's removals).
+func checkWithin(t *testing.T, seq []int32, limit, kept int, ok bool) {
+	t.Helper()
+	want := lndsLengthBrute(seq)
+	removals := len(seq) - want
+	if ok != (removals <= limit) {
+		t.Fatalf("seq %v limit %d: ok = %v, removals %d", seq, limit, ok, removals)
+	}
+	if ok {
+		if kept != want {
+			t.Fatalf("seq %v limit %d: kept %d, want %d", seq, limit, kept, want)
+		}
+		return
+	}
+	if limit < 0 {
+		if kept != 0 {
+			t.Fatalf("seq %v limit %d: kept %d before the first element", seq, limit, kept)
+		}
+		return
+	}
+	p := kept + limit + 1
+	if p > len(seq) || lndsLengthBrute(seq[:p]) != kept {
+		t.Fatalf("seq %v limit %d: stop (kept %d) is not a prefix needing limit+1 removals", seq, limit, kept)
+	}
+}
+
+// TestLNDSLenWithinMatchesBruteForce runs the bounded kernel on random
+// sequences with heavy ties at the limits that matter: −1, 0, exactly the
+// true removals (accepted) and one below (rejected at the last moment).
+func TestLNDSLenWithinMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(141))
+	var s Scratch
+	for iter := 0; iter < 500; iter++ {
+		seq := randomSeq(rng, rng.Intn(60), 1+rng.Intn(6))
+		removals := len(seq) - LNDSLength(seq)
+		if got := len(seq) - len(LNDS(seq)); got != removals {
+			t.Fatalf("seq %v: LNDSLength and LNDS disagree (%d vs %d removals)", seq, removals, got)
+		}
+		for _, limit := range []int{-1, 0, removals, removals - 1} {
+			kept, ok := s.LNDSLenWithin(seq, limit)
+			checkWithin(t, seq, limit, kept, ok)
+		}
+	}
+}
+
+// TestKeysLNDSLenWithin pins the key form: the value is the key's low 32
+// bits whatever the high bits hold, and desc measures the longest
+// non-increasing run of the low bits — for flip − B keys, the LNDS of B.
+func TestKeysLNDSLenWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(142))
+	var s Scratch
+	for iter := 0; iter < 300; iter++ {
+		seq := randomSeq(rng, rng.Intn(80), 1+rng.Intn(8))
+		const flip = 7
+		asc := make([]uint64, len(seq))
+		desc := make([]uint64, len(seq))
+		for i, b := range seq {
+			hi := uint64(rng.Intn(1<<20)) << 32
+			asc[i] = hi | uint64(uint32(b))
+			desc[i] = hi | uint64(uint32(flip-b))
+		}
+		want := lndsLengthBrute(seq)
+		for _, limit := range []int{len(seq), len(seq) - want, len(seq) - want - 1} {
+			for name, keys := range map[string][]uint64{"asc": asc, "desc": desc} {
+				kept, ok := s.KeysLNDSLenWithin(keys, name == "desc", limit)
+				checkWithin(t, seq, limit, kept, ok)
+			}
+		}
+	}
+}
+
+// TestLNDSLenWithinAllocFree: a warm scratch runs the kernel without
+// allocating, and it never touches the back-pointer buffers.
+func TestLNDSLenWithinAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(143))
+	seq := randomSeq(rng, 4096, 64)
+	var s Scratch
+	s.LNDSLenWithin(seq, len(seq)) // warm
+	if n := testing.AllocsPerRun(20, func() { s.LNDSLenWithin(seq, len(seq)) }); n != 0 {
+		t.Errorf("LNDSLenWithin allocates %.1f times per call, want 0", n)
+	}
+	if s.prev != nil || s.keep != nil {
+		t.Error("the length kernel allocated back-pointer buffers")
+	}
+}

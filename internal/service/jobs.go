@@ -84,8 +84,9 @@ type Job struct {
 	// submission, refined down to the remaining work by each level snapshot
 	// while running (it is never read by the queue after the job leaves it).
 	cost int64
-	// partial and progress hold the latest level snapshot of a running job;
-	// subs are the live stream subscribers (see stream.go).
+	// partial and progress hold the latest level snapshot of a running job
+	// (dropped when it turns terminal); subs are the live stream subscribers
+	// (see stream.go).
 	partial  *aod.Report
 	progress *aod.Progress
 	subs     []chan StreamEvent

@@ -108,10 +108,13 @@ func (j *Job) publishProgress(p aod.Progress, partial *aod.Report) {
 // closeSubsLocked ends every subscriber's stream; called (under j.mu) at
 // each transition into a terminal state. Closing the channel — rather than
 // sending a terminal event — is what makes the contract race-free: the
-// subscriber reads the authoritative final state afterwards.
+// subscriber reads the authoritative final state afterwards. It also drops
+// the last level snapshot, which neither view nor Stream reads once the job
+// is terminal, so a finished job in the history does not keep it alive.
 func (j *Job) closeSubsLocked() {
 	for _, ch := range j.subs {
 		close(ch)
 	}
 	j.subs = nil
+	j.partial, j.progress = nil, nil
 }

@@ -113,6 +113,63 @@ func TestJobStreamDeliversGrowingPartials(t *testing.T) {
 	}
 }
 
+// TestDoneJobDropsPartial: once a job is terminal it no longer holds its
+// last level snapshot, and GET /jobs/{id} still answers with the final
+// report and no partial or progress.
+func TestDoneJobDropsPartial(t *testing.T) {
+	published := make(chan struct{}, 64)
+	cfg := Config{Workers: 1}
+	cfg.levelHook = func(*Job) { published <- struct{}{} }
+	s := New(cfg)
+	defer s.Close()
+	srv := httptest.NewServer(NewHandler(s, HandlerConfig{}))
+	defer srv.Close()
+
+	info, _, err := s.Registry().Add("ml", multiLevelDataset(t, 300, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := s.Submit(info.ID, aod.Options{Threshold: 0.2, IncludeOFDs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, view.ID, JobDone)
+	if len(published) == 0 {
+		t.Fatal("the job published no level snapshot")
+	}
+	s.mu.Lock()
+	j := s.jobs[view.ID]
+	s.mu.Unlock()
+	j.mu.Lock()
+	partial, progress := j.partial, j.progress
+	j.mu.Unlock()
+	if partial != nil || progress != nil {
+		t.Errorf("done job still holds partial %v / progress %v", partial != nil, progress != nil)
+	}
+
+	resp, err := http.Get(srv.URL + "/jobs/" + view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := got["report"]; !ok {
+		t.Error("GET /jobs/{id} of a done job has no report")
+	}
+	for _, key := range []string{"partial", "progress"} {
+		if _, ok := got[key]; ok {
+			t.Errorf("GET /jobs/{id} of a done job carries %q", key)
+		}
+	}
+	var state JobState
+	if err := json.Unmarshal(got["state"], &state); err != nil || state != JobDone {
+		t.Errorf("GET /jobs/{id} state = %s (%v), want done", got["state"], err)
+	}
+}
+
 // TestJobStreamHTTP reads the NDJSON endpoint end to end: level events
 // before the done event, application/x-ndjson content type, and a final
 // "done" event carrying the report.

@@ -182,31 +182,34 @@ func TestRadixSortCrossesCutoff(t *testing.T) {
 // --- Allocation regression --------------------------------------------------
 
 // TestValidatorAllocFree pins the steady-state allocation counts of the
-// validation hot path: with warm scratch, OptimalAOC / ExactOC / ApproxOFD
-// must not allocate at all.
+// validation hot path: with warm scratch, OptimalAOC / OptimalAOD /
+// SampledAOCEstimate / ExactOC / ApproxOFD — completing or aborting on the
+// budget — must not allocate at all.
 func TestValidatorAllocFree(t *testing.T) {
 	tbl := gen.CorrelatedPair(20_000, 0.10, 42)
 	ctx := partition.Universe(20_000)
 	ca, cb := tbl.Column(0), tbl.Column(1)
-	v := New()
-	v.OptimalAOC(ctx, ca, cb, Options{Threshold: 0.5}) // warm
-	if n := testing.AllocsPerRun(10, func() {
-		v.OptimalAOC(ctx, ca, cb, Options{Threshold: 0.5})
-	}); n != 0 {
-		t.Errorf("OptimalAOC allocates %.1f times per call in steady state, want 0", n)
-	}
-	v.ExactOC(ctx, ca, cb)
-	if n := testing.AllocsPerRun(10, func() {
-		v.ExactOC(ctx, ca, cb)
-	}); n != 0 {
-		t.Errorf("ExactOC allocates %.1f times per call in steady state, want 0", n)
-	}
 	single := partition.Single(ca)
-	v.ApproxOFD(single, cb, Options{Threshold: 0.5})
-	if n := testing.AllocsPerRun(10, func() {
-		v.ApproxOFD(single, cb, Options{Threshold: 0.5})
-	}); n != 0 {
-		t.Errorf("ApproxOFD allocates %.1f times per call in steady state, want 0", n)
+	v := New()
+	for name, run := range map[string]func(){
+		"OptimalAOC":         func() { v.OptimalAOC(ctx, ca, cb, Options{Threshold: 0.5}) },
+		"OptimalAOC/abort":   func() { v.OptimalAOC(ctx, ca, cb, Options{Threshold: 0.01}) },
+		"OptimalAOD":         func() { v.OptimalAOD(ctx, ca, cb, Options{Threshold: 0.5}) },
+		"SampledAOCEstimate": func() { v.SampledAOCEstimate(single, ca, cb, 4) },
+		"ExactOC":            func() { v.ExactOC(ctx, ca, cb) },
+		"ApproxOFD":          func() { v.ApproxOFD(single, cb, Options{Threshold: 0.5}) },
+		"ApproxOFD/abort":    func() { v.ApproxOFD(ctx, cb, Options{Threshold: 0.01}) },
+	} {
+		run() // warm
+		if n := testing.AllocsPerRun(10, run); n != 0 {
+			t.Errorf("%s allocates %.1f times per call in steady state, want 0", name, n)
+		}
+	}
+	if r := v.ApproxOFD(ctx, cb, Options{Threshold: 0.01}); !r.Aborted {
+		t.Errorf("ApproxOFD/abort did not abort: %+v", r)
+	}
+	if r := v.OptimalAOC(ctx, ca, cb, Options{Threshold: 0.01}); !r.Aborted {
+		t.Errorf("OptimalAOC/abort did not abort: %+v", r)
 	}
 }
 

@@ -2,7 +2,8 @@ package validate
 
 import "slices"
 
-// pairKV packs one tuple's composite sort key with its row id. The key is
+// pairKV packs one tuple's composite sort key with its row id, for the
+// paths that need rows: removal collection and ExactOC's witness. The key is
 // (A-rank << 32) | B-key, so ascending key order is exactly the
 // [A asc, B asc] (or, with a flipped B-key, [A asc, B desc]) tuple order
 // every validator needs. Rank values fit in 31 bits (ranks are dense in
@@ -69,6 +70,67 @@ func (v *Validator) sortPairs(m int, maxKey uint64) {
 		// array; swap the scratch headers instead of copying.
 		v.kv, v.kvTmp = v.kvTmp, v.kv
 	}
+}
+
+// sortKeys loads the packed (A << 32 | B-key) keys of every stride-th row of
+// the class — B-key = flip − B when bDesc — and sorts them ascending without
+// row ids: tied keys are equal (A, B) pairs, so their order cannot change an
+// LNDS length. The result aliases Validator scratch.
+func (v *Validator) sortKeys(cls []int32, stride int, ra, rb []int32, bDesc bool, flip int32) []uint64 {
+	m := (len(cls) + stride - 1) / stride
+	if cap(v.keys) < m {
+		v.keys = make([]uint64, m)
+		v.keysTmp = make([]uint64, m)
+	}
+	keys := v.keys[:m]
+	// flip − B = ^B + flip + 1, so one loop serves both tie orders.
+	var xm, add int32
+	if bDesc {
+		xm, add = -1, flip+1
+	}
+	var maxKey uint64
+	for i := range keys {
+		row := cls[i*stride]
+		k := uint64(uint32(ra[row]))<<32 | uint64(uint32(rb[row]^xm+add))
+		keys[i] = k
+		maxKey = max(maxKey, k)
+	}
+	return v.radixKeys(keys, maxKey)
+}
+
+// radixKeys sorts keys (= v.keys[:m]) ascending, by comparison below
+// radixCutoff and by LSD byte-radix through v.keysTmp above it. It returns
+// the sorted keys, which may sit in either buffer.
+func (v *Validator) radixKeys(keys []uint64, maxKey uint64) []uint64 {
+	m := len(keys)
+	if m <= radixCutoff {
+		slices.Sort(keys)
+		return keys
+	}
+	src, dst := keys, v.keysTmp[:m]
+	var cnt [256]int32
+	for shift := uint(0); maxKey>>shift != 0; shift += 8 {
+		clear(cnt[:])
+		for _, k := range src {
+			cnt[uint8(k>>shift)]++
+		}
+		if cnt[uint8(src[0]>>shift)] == int32(m) {
+			continue // every key shares this digit: nothing to move
+		}
+		var sum int32
+		for d := range cnt {
+			c := cnt[d]
+			cnt[d] = sum
+			sum += c
+		}
+		for _, k := range src {
+			d := uint8(k >> shift)
+			dst[cnt[d]] = k
+			cnt[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // radixSortRowsByRank stably sorts order (row ids, loaded ascending) by

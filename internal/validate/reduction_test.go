@@ -110,6 +110,9 @@ func TestSampledEstimateBounds(t *testing.T) {
 			if est < 0 || est > 1 {
 				t.Fatalf("iter %d stride %d: estimate %g out of range", iter, stride, est)
 			}
+			if full := v.OptimalAOC(ctx, tbl.Column(0), tbl.Column(1), Options{ComputeFullError: true}); stride == 1 && est != full.Error {
+				t.Fatalf("iter %d: stride-1 estimate %g, full error %g", iter, est, full.Error)
+			}
 		}
 	}
 }

@@ -13,8 +13,12 @@
 //
 // The hot path is allocation-free in steady state: per-class tuple orders
 // come from an LSD radix sort over packed (A-rank, B-rank) keys held in
-// Validator scratch (see radix.go), and LNDS reconstruction reuses a
-// lis.Scratch. A comparison sort takes over below a small class-size cutoff.
+// Validator scratch (see radix.go), with a comparison sort below a small
+// class-size cutoff. The verdict path — everything discovery asks per
+// candidate — sorts bare keys and runs lis's budget-bounded, length-only
+// LNDS over their B bits, stopping a rejected candidate at its first certain
+// overrun (DESIGN.md §1). Only removal collection sorts (key, row) pairs and
+// reconstructs the LNDS with a lis.Scratch.
 package validate
 
 import (
@@ -48,7 +52,9 @@ type Result struct {
 	// Removals is the size of the removal set found. For the optimal
 	// validator this is the minimal removal set size; for the iterative one
 	// it may overestimate. If the validator aborted early (threshold crossed
-	// and !ComputeFullError), Removals is a lower bound.
+	// and !ComputeFullError), Removals is only a certificate of rejection:
+	// it exceeds the budget ⌊ε·|r|⌋ and is at most the optimal validators'
+	// true minimum.
 	Removals int
 	// Error is Removals/|r| (the approximation factor e, or its lower bound
 	// after an early abort).
@@ -87,11 +93,14 @@ type Validator struct {
 	// sorted order (see sortClass).
 	a, b []int32
 	rows []int32
-	// kv, kvTmp are the radix-sort key buffers (radix.go).
-	kv, kvTmp []pairKV
-	freq      []int32
-	scan      scanScratch
-	lnds      lis.Scratch
+	// kv, kvTmp are the radix-sort (key, row) buffers of removal
+	// collection; keys, keysTmp the bare-key buffers of the verdict path
+	// (radix.go).
+	kv, kvTmp     []pairKV
+	keys, keysTmp []uint64
+	freq          []int32
+	scan          scanScratch
+	lnds          lis.Scratch
 	// inv and alive are the iterative validator's per-class scratch: swap
 	// counts (Fenwick-backed) and the greedy removal's liveness markers.
 	inv   lis.InvScratch
@@ -155,24 +164,7 @@ func (v *Validator) collectRemoved(m int, keep []int32, removed []int32) []int32
 // the tuples outside one longest non-decreasing subsequence of the
 // B-projection form the class's minimal removal set.
 func (v *Validator) OptimalAOC(ctx *partition.Stripped, a, b *dataset.Column, opts Options) Result {
-	n := ctx.N
-	budget := removalBudget(opts.Threshold, n)
-	ra, rb := a.Ranks(), b.Ranks()
-	removals := 0
-	var removed []int32
-	for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
-		cls := ctx.Class(ci)
-		v.sortClass(cls, ra, rb, false, 0)
-		keep := v.lnds.LNDS(v.b)
-		removals += len(cls) - len(keep)
-		if opts.CollectRemovals {
-			removed = v.collectRemoved(len(cls), keep, removed)
-		}
-		if !opts.ComputeFullError && !opts.CollectRemovals && removals > budget {
-			return finish(removals, n, opts, true, nil)
-		}
-	}
-	return finish(removals, n, opts, false, removed)
+	return v.optimal(ctx, a.Ranks(), b.Ranks(), false, 0, opts)
 }
 
 // OptimalAOD validates the approximate canonical OD X: A ↦ B (Section 3.3
@@ -180,25 +172,46 @@ func (v *Validator) OptimalAOC(ctx *partition.Stripped, a, b *dataset.Column, op
 // *descending*, which forces the LNDS solution to remove all splits as well
 // as all swaps. The removal set remains minimal.
 func (v *Validator) OptimalAOD(ctx *partition.Stripped, a, b *dataset.Column, opts Options) Result {
+	return v.optimal(ctx, a.Ranks(), b.Ranks(), true, int32(b.NumDistinct()-1), opts)
+}
+
+// optimal runs Algorithm 2 over class orders [A asc, B asc], or
+// [A asc, B desc] when bDesc (flip is the B-key reflection base).
+//
+// Only removal collection needs row ids: it sorts (key, row) pairs and
+// reconstructs each class's LNDS. The verdict path sorts bare keys and asks
+// the length-only kernel whether the class fits in what is left of the
+// budget; the first class that does not ends the run (see Result.Removals).
+func (v *Validator) optimal(ctx *partition.Stripped, ra, rb []int32, bDesc bool, flip int32, opts Options) Result {
 	n := ctx.N
-	budget := removalBudget(opts.Threshold, n)
-	ra, rb := a.Ranks(), b.Ranks()
-	flip := int32(b.NumDistinct() - 1)
 	removals := 0
-	var removed []int32
-	for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
-		cls := ctx.Class(ci)
-		v.sortClass(cls, ra, rb, true, flip)
-		keep := v.lnds.LNDS(v.b)
-		removals += len(cls) - len(keep)
-		if opts.CollectRemovals {
+	if opts.CollectRemovals {
+		var removed []int32
+		for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
+			cls := ctx.Class(ci)
+			v.sortClass(cls, ra, rb, bDesc, flip)
+			keep := v.lnds.LNDS(v.b)
+			removals += len(cls) - len(keep)
 			removed = v.collectRemoved(len(cls), keep, removed)
 		}
-		if !opts.ComputeFullError && !opts.CollectRemovals && removals > budget {
-			return finish(removals, n, opts, true, nil)
-		}
+		return finish(removals, n, opts, false, removed)
 	}
-	return finish(removals, n, opts, false, removed)
+	budget := removalBudget(opts.Threshold, n)
+	for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
+		cls := ctx.Class(ci)
+		limit := budget - removals
+		if opts.ComputeFullError {
+			limit = len(cls)
+		}
+		kept, ok := v.lnds.KeysLNDSLenWithin(v.sortKeys(cls, 1, ra, rb, bDesc, flip), bDesc, limit)
+		if !ok {
+			// The class needs more than limit removals, so the total
+			// certainly exceeds the budget; budget+1 is a lower bound.
+			return finish(max(removals, budget+1), n, opts, true, nil)
+		}
+		removals += len(cls) - kept
+	}
+	return finish(removals, n, opts, false, nil)
 }
 
 // SampledAOCEstimate cheaply estimates the approximation factor of the AOC
@@ -220,27 +233,10 @@ func (v *Validator) SampledAOCEstimate(ctx *partition.Stripped, a, b *dataset.Co
 	ra, rb := a.Ranks(), b.Ranks()
 	removals, sampled := 0, 0
 	for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
-		cls := ctx.Class(ci)
-		m := (len(cls) + stride - 1) / stride
-		if m < 2 {
-			sampled += m
-			continue
-		}
-		v.grow(m)
-		var maxKey uint64
-		for i := 0; i < m; i++ {
-			row := cls[i*stride]
-			k := uint64(uint32(ra[row]))<<32 | uint64(uint32(rb[row]))
-			v.kv[i] = pairKV{key: k, row: row}
-			if k > maxKey {
-				maxKey = k
-			}
-		}
-		v.sortPairs(m, maxKey)
-		v.decodePairs(m, false, 0)
-		keep := v.lnds.LNDS(v.b)
-		removals += m - len(keep)
-		sampled += m
+		keys := v.sortKeys(ctx.Class(ci), stride, ra, rb, false, 0)
+		kept, _ := v.lnds.KeysLNDSLenWithin(keys, false, len(keys))
+		removals += len(keys) - kept
+		sampled += len(keys)
 	}
 	// Singleton-stripped rows are swap-free; scale the denominator the same
 	// way the full validator does (per-table rows), approximated by the
@@ -276,12 +272,21 @@ func ApproxOFD(ctx *partition.Stripped, a *dataset.Column, opts Options) Result 
 	return New().ApproxOFD(ctx, a, opts)
 }
 
+// ofdChunk is how many rows of a class ApproxOFD counts between budget
+// checks.
+const ofdChunk = 1024
+
 // ApproxOFD is the scratch-reusing form of the package-level ApproxOFD: the
 // per-value frequency array is kept across calls so discovery loops do not
-// allocate per candidate.
+// allocate per candidate. Without CollectRemovals or ComputeFullError it
+// stops as soon as the removals are certain to exceed the budget: after
+// seeing `seen` rows of a class whose most frequent A-value so far occurs
+// best times, the class needs at least seen − best removals.
 func (v *Validator) ApproxOFD(ctx *partition.Stripped, a *dataset.Column, opts Options) Result {
 	n := ctx.N
 	ra := a.Ranks()
+	budget := removalBudget(opts.Threshold, n)
+	bounded := !opts.CollectRemovals && !opts.ComputeFullError
 	removals := 0
 	var removed []int32
 	if cap(v.freq) < a.NumDistinct() {
@@ -292,11 +297,19 @@ func (v *Validator) ApproxOFD(ctx *partition.Stripped, a *dataset.Column, opts O
 		cls := ctx.Class(ci)
 		var best int32
 		var bestRank int32 = -1
-		for _, row := range cls {
-			r := ra[row]
-			freq[r]++
-			if freq[r] > best {
-				best, bestRank = freq[r], r
+		for seen := 0; seen < len(cls); {
+			end := min(seen+ofdChunk, len(cls))
+			for _, row := range cls[seen:end] {
+				r := ra[row]
+				freq[r]++
+				if freq[r] > best {
+					best, bestRank = freq[r], r
+				}
+			}
+			seen = end
+			if bounded && removals+seen-int(best) > budget {
+				resetFreq(freq, cls[:seen], ra)
+				return finish(removals+seen-int(best), n, opts, true, nil)
 			}
 		}
 		removals += len(cls) - int(best)
@@ -307,12 +320,16 @@ func (v *Validator) ApproxOFD(ctx *partition.Stripped, a *dataset.Column, opts O
 				}
 			}
 		}
-		// Reset only the touched counters.
-		for _, row := range cls {
-			freq[ra[row]] = 0
-		}
+		resetFreq(freq, cls, ra)
 	}
 	return finish(removals, n, opts, false, removed)
+}
+
+// resetFreq zeroes only the counters the rows touched.
+func resetFreq(freq, rows, ra []int32) {
+	for _, row := range rows {
+		freq[ra[row]] = 0
+	}
 }
 
 // deadPool recycles the removed-row markers of the Verify helpers, so the
